@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race docs-check bench-hotpath bench-check profile conformance
+.PHONY: build test vet lint race docs-check bench-hotpath bench-check profile conformance perfbench-test
 
 build:
 	$(GO) build ./...
@@ -51,3 +51,9 @@ profile:
 # both substrates and byte-compare the writesched decision logs.
 conformance:
 	$(GO) test ./internal/conformance/ -count=1 -race -v -run 'TestConformance|TestScenarioLogs'
+
+# perfbench/ is a separate Go module (the repo benchmark), so ./... from
+# the root skips it. Vet and test its helpers (stats, trace, layers)
+# with the same offline module settings perfbench/run.sh uses.
+perfbench-test:
+	cd perfbench && export GOFLAGS= GOPROXY=off && $(GO) vet ./... && $(GO) test ./...

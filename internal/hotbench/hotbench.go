@@ -27,6 +27,20 @@ import (
 	"repro/internal/workload"
 )
 
+// payload generates fileBytes of workload data once, outside any timed
+// region, and returns a function that rewinds a reader over it. The
+// struct wrapper hides bytes.Reader.WriteTo, so io.CopyBuffer keeps
+// making 64 KiB writes instead of one fileBytes-sized Write.
+func payload(fileBytes int64) func() io.Reader {
+	data := workload.Data(1, int(fileBytes))
+	r := bytes.NewReader(nil)
+	var src io.Reader = struct{ io.Reader }{r}
+	return func() io.Reader {
+		r.Reset(data)
+		return src
+	}
+}
+
 // PacketRoundTrip encodes and decodes one full-size data packet per
 // iteration over an in-memory stream, reusing one Conn so the steady
 // state is visible (the first iterations warm the frame pools).
@@ -148,6 +162,7 @@ func LiveWriteObs(b *testing.B, mode proto.WriteMode, fileBytes int64, o *obs.Ob
 		Overwrite:   true,
 	}
 	cbuf := make([]byte, 64<<10)
+	src := payload(fileBytes)
 	upload := func(path string) {
 		var w client.Writer
 		if mode == proto.ModeSmarth {
@@ -158,7 +173,7 @@ func LiveWriteObs(b *testing.B, mode proto.WriteMode, fileBytes int64, o *obs.Ob
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := io.CopyBuffer(struct{ io.Writer }{w}, workload.NewReader(1, fileBytes), cbuf); err != nil {
+		if _, err := io.CopyBuffer(struct{ io.Writer }{w}, src(), cbuf); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -201,6 +216,7 @@ func LiveWriteTCP(b *testing.B, mode proto.WriteMode, fileBytes int64, repl, str
 		Overwrite:   true,
 	}
 	cbuf := make([]byte, 64<<10)
+	src := payload(fileBytes)
 	upload := func(path string) {
 		var w client.Writer
 		if mode == proto.ModeSmarth {
@@ -211,7 +227,7 @@ func LiveWriteTCP(b *testing.B, mode proto.WriteMode, fileBytes int64, repl, str
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := io.CopyBuffer(struct{ io.Writer }{w}, workload.NewReader(1, fileBytes), cbuf); err != nil {
+		if _, err := io.CopyBuffer(struct{ io.Writer }{w}, src(), cbuf); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -250,7 +266,7 @@ func LiveReadTCP(b *testing.B, ro client.ReadOptions, fileBytes int64) {
 		b.Fatal(err)
 	}
 	cbuf := make([]byte, 64<<10)
-	if _, err := io.CopyBuffer(struct{ io.Writer }{w}, workload.NewReader(1, fileBytes), cbuf); err != nil {
+	if _, err := io.CopyBuffer(struct{ io.Writer }{w}, payload(fileBytes)(), cbuf); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -311,11 +327,12 @@ func RawCopyTCP(b *testing.B, fileBytes int64) {
 		_ = tc.SetNoDelay(!t.DisableNoDelay)
 	}
 	cbuf := make([]byte, 64<<10)
+	src := payload(fileBytes)
 	b.SetBytes(fileBytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := io.CopyBuffer(struct{ io.Writer }{conn}, workload.NewReader(1, fileBytes), cbuf); err != nil {
+		if _, err := io.CopyBuffer(struct{ io.Writer }{conn}, src(), cbuf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,7 +372,7 @@ func LiveRead(b *testing.B, ro client.ReadOptions, fileBytes int64) {
 		b.Fatal(err)
 	}
 	cbuf := make([]byte, 64<<10)
-	if _, err := io.CopyBuffer(struct{ io.Writer }{w}, workload.NewReader(1, fileBytes), cbuf); err != nil {
+	if _, err := io.CopyBuffer(struct{ io.Writer }{w}, payload(fileBytes)(), cbuf); err != nil {
 		b.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

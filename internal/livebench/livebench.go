@@ -9,6 +9,7 @@
 package livebench
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -132,6 +133,9 @@ func Run(cfg Config) (Outcome, error) {
 		BlockSize:   cfg.BlockSize,
 		PacketSize:  cfg.PacketSize,
 	}
+	// Generated once, before any timed region, and shared by all three
+	// uploads.
+	payload := workload.Data(cfg.Seed, int(cfg.FileBytes))
 	upload := func(path string, smarth bool) (time.Duration, error) {
 		var w client.Writer
 		var err error
@@ -144,7 +148,7 @@ func Run(cfg Config) (Outcome, error) {
 			return 0, err
 		}
 		start := time.Now()
-		if _, err := streamWorkload(w, cfg.Seed, cfg.FileBytes); err != nil {
+		if _, err := copyAll(w, bytes.NewReader(payload)); err != nil {
 			return 0, err
 		}
 		if err := w.Close(); err != nil {
@@ -206,6 +210,7 @@ func (f FaultOutcome) Overhead() float64 {
 func RunFault(cfg Config) (FaultOutcome, error) {
 	cfg.applyDefaults()
 	var out FaultOutcome
+	payload := workload.Data(cfg.Seed, int(cfg.FileBytes))
 
 	run := func(kill bool) (time.Duration, int, string, error) {
 		shaper := cluster.NewShaper(nil)
@@ -238,7 +243,7 @@ func RunFault(cfg Config) (FaultOutcome, error) {
 		}
 		start := time.Now()
 		victim := ""
-		src := workload.NewReader(cfg.Seed, cfg.FileBytes)
+		src := bytes.NewReader(payload)
 		buf := make([]byte, 64<<10)
 		var written int64
 		for {
@@ -298,11 +303,6 @@ func RunFault(cfg Config) (FaultOutcome, error) {
 		return out, err
 	}
 	return out, nil
-}
-
-// streamWorkload writes the deterministic payload into w.
-func streamWorkload(w io.Writer, seed, n int64) (int64, error) {
-	return copyAll(w, workload.NewReader(seed, n))
 }
 
 // copyAll copies src to dst in 64 KiB chunks.

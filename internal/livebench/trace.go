@@ -1,6 +1,7 @@
 package livebench
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -161,8 +162,8 @@ func TraceRun(cfg TraceConfig) (TraceOutcome, error) {
 		return out, err
 	}
 
+	src := bytes.NewReader(workload.Data(cfg.Seed, int(cfg.FileBytes)))
 	start := time.Now()
-	src := workload.NewReader(cfg.Seed, cfg.FileBytes)
 	buf := make([]byte, 32<<10)
 	var written int64
 	for written < cfg.FileBytes {
