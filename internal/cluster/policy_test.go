@@ -16,11 +16,10 @@ import (
 )
 
 // TestPolicyWritesMem runs every non-default write policy through a real
-// in-memory cluster: multi-block SMARTH write, full read-back, and — for
-// fanout — proof that the interior datanode really mirrored to every
-// replica (the data plane, not just the header flag).
+// in-memory cluster: multi-block SMARTH write, full read-back, and proof
+// that every block landed on all three replicas.
 func TestPolicyWritesMem(t *testing.T) {
-	for _, pol := range []string{policy.SpeedAware, policy.Fanout} {
+	for _, pol := range []string{policy.SpeedAware} {
 		pol := pol
 		t.Run(pol, func(t *testing.T) {
 			c := startTestCluster(t, 6)
@@ -47,7 +46,7 @@ func TestPolicyWritesMem(t *testing.T) {
 			verifyFile(t, cl, path, data)
 
 			// Every block must have landed on 3 datanodes regardless of
-			// the replication topology the policy chose.
+			// the targets the policy chose.
 			replicas := 0
 			for i := 1; i <= 6; i++ {
 				dn := c.Datanode(fmt.Sprintf("dn%d", i))
@@ -61,7 +60,8 @@ func TestPolicyWritesMem(t *testing.T) {
 }
 
 // TestPolicyUnknownNameFailsCreate pins the client-side validation: an
-// unknown policy never reaches the namenode.
+// unknown policy never reaches the namenode. "fanout" names a policy
+// that no longer exists, so it must fail the same way.
 func TestPolicyUnknownNameFailsCreate(t *testing.T) {
 	c := startTestCluster(t, 3)
 	cl, err := c.NewClient("pol-client")
@@ -69,20 +69,21 @@ func TestPolicyUnknownNameFailsCreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	opts := testWriteOptions(proto.ModeSmarth)
-	opts.Policy = "no-such-policy"
-	if _, err := cl.CreateSmarth("/nope", opts); err == nil {
-		t.Fatal("CreateSmarth accepted an unknown policy name")
-	}
-	opts.Mode = proto.ModeHDFS
-	if _, err := cl.CreateHDFS("/nope", opts); err == nil {
-		t.Fatal("CreateHDFS accepted an unknown policy name")
+	for _, name := range []string{"no-such-policy", "fanout"} {
+		opts := testWriteOptions(proto.ModeSmarth)
+		opts.Policy = name
+		if _, err := cl.CreateSmarth("/nope", opts); err == nil {
+			t.Fatalf("CreateSmarth accepted unknown policy %q", name)
+		}
+		opts.Mode = proto.ModeHDFS
+		if _, err := cl.CreateHDFS("/nope", opts); err == nil {
+			t.Fatalf("CreateHDFS accepted unknown policy %q", name)
+		}
 	}
 }
 
 // TestPolicyWritesTCP repeats the policy round trip over real loopback
-// sockets, the acceptance bar for the fanout data plane: the interior
-// datanode dials its leaves over TCP and merges their acks.
+// sockets.
 func TestPolicyWritesTCP(t *testing.T) {
 	net := transport.NewTCPNetwork(nil)
 
@@ -130,7 +131,7 @@ func TestPolicyWritesTCP(t *testing.T) {
 	defer cl.Close()
 
 	data := workload.Data(62, 2<<20)
-	for _, pol := range []string{policy.SpeedAware, policy.Fanout} {
+	for _, pol := range []string{policy.SpeedAware} {
 		opts := client.WriteOptions{
 			Mode: proto.ModeSmarth, Replication: 3,
 			BlockSize: 512 << 10, PacketSize: 64 << 10,

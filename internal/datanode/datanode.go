@@ -5,6 +5,10 @@
 // pipeline emits the FIRST NODE FINISH ACK as soon as a whole block is
 // locally stored, which is what lets the client overlap pipelines.
 //
+// Every pipeline is a chain with one connection per hop: a datanode reads
+// packets from its upstream conn and forwards them on a single mirror
+// conn to the next target, whose acks come back on that same conn.
+//
 // Concurrency and ownership invariants:
 //
 //   - One goroutine per accepted connection runs the receive loop; a
@@ -104,11 +108,6 @@ type Datanode struct {
 	mu       sync.Mutex
 	nnClient *rpc.Client
 	stopped  bool
-
-	// stripeSessions rendezvous striped-write join conns with their
-	// block's primary write handler; see stripe.go.
-	stripeMu       sync.Mutex
-	stripeSessions map[stripeKey]*stripeSession
 
 	// Pending finalized-replica reports, conflated by the reporter
 	// goroutine into delta block reports (blockReceivedBatch) so a burst
@@ -437,12 +436,7 @@ func (dn *Datanode) serveConn(conn transport.Conn) {
 	}
 	switch op {
 	case proto.OpWriteBlock:
-		wh := hdr.(*proto.WriteBlockHeader)
-		if wh.Stripes > 1 && wh.StripeID > 0 {
-			dn.handleStripeJoin(pc, wh)
-			return
-		}
-		dn.handleWrite(pc, wh)
+		dn.handleWrite(pc, hdr.(*proto.WriteBlockHeader))
 	case proto.OpReadBlock:
 		dn.handleRead(pc, hdr.(*proto.ReadBlockHeader))
 	default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,19 @@ func TestVersionCheck(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 2, 99, byte(OpReadBlock)})
 	if _, _, err := NewConn(&buf).ReadHeader(); err == nil {
 		t.Fatal("accepted wrong protocol version")
+	}
+
+	// A well-formed write header stamped Version 3: an old peer that
+	// still sends the stripe and fanout bytes must be refused, not
+	// misparsed.
+	var old duplex
+	wh := &WriteBlockHeader{Block: block.Block{ID: 7, Gen: 1}, Client: "c", Mode: ModeSmarth}
+	if err := NewConn(&old).WriteHeader(OpWriteBlock, wh); err != nil {
+		t.Fatal(err)
+	}
+	old.Bytes()[4] = 3 // the version byte follows the 4-byte frame length
+	if _, _, err := NewConn(&old).ReadHeader(); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("Version 3 frame: err = %v, want a version error", err)
 	}
 }
 

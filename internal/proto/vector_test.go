@@ -224,59 +224,3 @@ func TestAdaptiveCorkDelayThreshold(t *testing.T) {
 		t.Fatal("stale pending frame did not force a flush after the cork delay")
 	}
 }
-
-// StripeSet routes packets by seqno, keeps acks on the primary, and
-// flushes every stripe when the Last packet goes out.
-func TestStripeSetRouting(t *testing.T) {
-	data := make([]byte, 128)
-	sums := checksum.Sum(data, DefaultChunkSize)
-	var sinks [3]vecSink
-	conns := make([]*Conn, 3)
-	for i := range conns {
-		conns[i] = NewConn(&sinks[i])
-	}
-	set := NewStripeSet(conns...)
-	if set.Primary() != conns[0] || set.Stripes() != 3 {
-		t.Fatalf("Primary/Stripes = %p/%d, want %p/3", set.Primary(), set.Stripes(), conns[0])
-	}
-	if err := set.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	const n = 7
-	for i := 0; i < n; i++ {
-		if err := set.WritePacket(&Packet{Seqno: int64(i), Last: i == n-1, Sums: sums, Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every stripe flushed by the Last packet, despite the cork
-	// (checked before the readers below drain the sinks).
-	for i := range sinks {
-		if sinks[i].buf.Len() == 0 {
-			t.Fatalf("stripe %d still corked after the Last packet", i)
-		}
-	}
-	var got [3][]int64
-	for i := range sinks {
-		r := NewConn(&sinks[i].buf)
-		for {
-			p, err := r.ReadPacket()
-			if err != nil {
-				break
-			}
-			got[i] = append(got[i], p.Seqno)
-			p.Release()
-		}
-	}
-	for i := 0; i < n; i++ {
-		stripe := i % 3
-		found := false
-		for _, s := range got[stripe] {
-			if s == int64(i) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("seqno %d missing from stripe %d (got %v)", i, stripe, got)
-		}
-	}
-}

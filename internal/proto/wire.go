@@ -535,7 +535,7 @@ func consumeDatanode(src []byte) (block.DatanodeInfo, []byte, error) {
 func (c *Conn) WriteHeader(op Op, h any) error {
 	// Pre-size the encode scratch so headers with long target lists never
 	// grow mid-append; the buffer itself is pooled.
-	need := 2 + 24 + 5 + 8 + 2 + 16
+	need := 2 + 24 + 2 + 8 + 2 + 16
 	if wh, ok := h.(*WriteBlockHeader); ok {
 		need += len(wh.Client)
 		for _, t := range wh.Targets {
@@ -552,7 +552,7 @@ func (c *Conn) WriteHeader(op Op, h any) error {
 			return fmt.Errorf("proto: WriteHeader(%v) needs *WriteBlockHeader, got %T", op, h)
 		}
 		buf = appendBlock(buf, wh.Block)
-		buf = append(buf, byte(wh.Mode), wh.Depth, wh.Stripes, wh.StripeID, wh.Fanout)
+		buf = append(buf, byte(wh.Mode), wh.Depth)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(wh.BlockBytes))
 		buf = appendString(buf, wh.Client)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(wh.Targets)))
@@ -597,29 +597,13 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 		if wh.Block, rest, err = consumeBlock(rest); err != nil {
 			return op, nil, err
 		}
-		if len(rest) < 5 {
+		if len(rest) < 10 {
 			return op, nil, io.ErrUnexpectedEOF
 		}
 		wh.Mode = WriteMode(rest[0])
 		wh.Depth = rest[1]
-		wh.Stripes = rest[2]
-		wh.StripeID = rest[3]
-		wh.Fanout = rest[4]
-		rest = rest[5:]
-		if wh.Stripes > MaxStripes {
-			return op, nil, fmt.Errorf("proto: %d stripes exceeds max %d", wh.Stripes, MaxStripes)
-		}
-		if wh.Stripes > 1 && wh.StripeID >= wh.Stripes {
-			return op, nil, fmt.Errorf("proto: stripe id %d out of range for %d stripes", wh.StripeID, wh.Stripes)
-		}
-		if wh.Fanout != 0 && wh.Stripes > 1 {
-			return op, nil, fmt.Errorf("proto: fanout cannot combine with %d stripes", wh.Stripes)
-		}
-		if len(rest) < 8 {
-			return op, nil, io.ErrUnexpectedEOF
-		}
-		wh.BlockBytes = int64(binary.BigEndian.Uint64(rest))
-		rest = rest[8:]
+		wh.BlockBytes = int64(binary.BigEndian.Uint64(rest[2:]))
+		rest = rest[10:]
 		if wh.BlockBytes < 0 {
 			return op, nil, fmt.Errorf("proto: negative block size hint %d", wh.BlockBytes)
 		}

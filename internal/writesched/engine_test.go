@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/policy"
 	"repro/internal/proto"
 )
 
@@ -24,7 +23,7 @@ type mock struct {
 	onAddBlock func(idx int, exclude []string, prev block.Block)
 	onRecover  func(idx, attempt int, blk block.Block, alive, exclude []string)
 	onComplete func()
-	onStart    func(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool)
+	onStart    func(idx int, lb block.LocatedBlock, restream bool)
 	onReady    func(idx int)
 	speeds     map[string]float64
 
@@ -86,10 +85,10 @@ func (m *mock) attach(e *Engine) *Engine {
 	return e
 }
 
-func (m *mock) StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) {
+func (m *mock) StartPipeline(idx int, lb block.LocatedBlock, restream bool) {
 	m.record("start(%d,[%s],restream=%v)", idx, strings.Join(lb.Names(), ","), restream)
 	if m.onStart != nil {
-		m.onStart(idx, lb, shape, restream)
+		m.onStart(idx, lb, restream)
 	}
 }
 
@@ -250,7 +249,7 @@ func TestLocalOptimizeReorders(t *testing.T) {
 	var e *Engine
 	m.onAddBlock = grantSequence(&e, lbOf(1, "dn1", "dn2", "dn3"))
 	var started block.LocatedBlock
-	m.onStart = func(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) { started = lb }
+	m.onStart = func(idx int, lb block.LocatedBlock, restream bool) { started = lb }
 	// Seed 1's first Float64 is ~0.60 <= SwapThreshold: sort, no swap.
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 1, Seed: 1, Log: log}, m))
 
@@ -604,7 +603,7 @@ func TestConcurrentSubstrate(t *testing.T) {
 		dn := []string{"dn1", "dn2", "dn3", "dn4", "dn5", "dn6"}[idx%6]
 		e.HandleAddBlock(idx, lbOf(id, dn, "dn7", "dn8"), nil)
 	}
-	m.onStart = func(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) {
+	m.onStart = func(idx int, lb block.LocatedBlock, restream bool) {
 		go func() {
 			e.HandleFNFA(idx, time.Millisecond)
 			e.HandleDrained(idx)
