@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race docs-check bench-hotpath bench-check profile conformance perfbench-test
+.PHONY: build test vet lint race stress docs-check bench-hotpath bench-check profile conformance perfbench-test
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ lint:
 # the full suite (a cached "ok" proves nothing about the current build).
 race:
 	$(GO) test -race -count=1 ./...
+
+# Flake hunt: the live-cluster, fault-injection, conformance and client
+# suites, 20 times over under the race detector.
+stress:
+	$(GO) test -race -count=20 ./internal/cluster/ ./internal/faultnet/ ./internal/conformance/ ./internal/client/
 
 # Fail if any package under internal/ or cmd/ lacks a package comment
 # (the godoc surface ARCHITECTURE.md builds on).
