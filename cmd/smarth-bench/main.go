@@ -73,7 +73,7 @@ func main() {
 	csvPath := flag.String("csv", "", "also write tidy per-point data (figure,x,protocol,seconds) for plotting")
 	timeline := flag.Bool("timeline", false, "also draw the pipeline-overlap timeline for a throttled SMARTH run")
 	traceOut := flag.String("trace", "", "with -timeline: export the simulated SMARTH run's spans as JSONL (render with smarth-admin -trace)")
-	policies := flag.Bool("policies", false, "also run the write-policy comparison matrix (default/speedaware on clean, throttled, and faulted workloads)")
+	policies := flag.Bool("policies", false, "also run the write-policy comparison matrix (default/speedaware on clean, throttled, faulted and heterogeneous multi-client workloads)")
 	flag.Parse()
 
 	if *timeline || *traceOut != "" {

@@ -19,8 +19,12 @@
 // the current run seeds the baseline. The "current" entry is always
 // overwritten, so the JSON reads as before-vs-now.
 //
-// In -check mode nothing is written: every benchmark that has a
-// "current" entry in the committed file is re-run and compared.
+// In -check mode nothing is written: every suite benchmark is re-run
+// and compared with its "current" entry in the committed file. A suite
+// benchmark with no recorded entry, or a recorded entry with no suite
+// benchmark, fails the check, so a rename cannot silently drop a gate
+// (the live-upload names carry the size, so -check runs at the recorded
+// 64 MB).
 // Allocation counts are a tight gate (they are deterministic); MB/s is
 // a loose one (-check-frac, default 0.5, i.e. fail under half the
 // recorded throughput) because shared CI machines are noisy.
@@ -49,8 +53,8 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
 	// Control-plane benchmarks (CtrlPlane*) report namenode throughput in
-	// logical operations per second and the client-observed addBlock
-	// latency quantiles instead of MB/s.
+	// RPCs per second and the client-observed addBlock latency quantiles
+	// instead of MB/s.
 	RPCsPerS      float64 `json:"rpcs_per_s,omitempty"`
 	AddBlockP50NS float64 `json:"addblock_p50_ns,omitempty"`
 	AddBlockP99NS float64 `json:"addblock_p99_ns,omitempty"`
@@ -221,8 +225,7 @@ func benches(fileBytes int64) []struct {
 		{n("LiveWrite%dMB/SMARTH-TCP"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 1) }, "6x"},
 		{n("LiveWrite%dMB/SMARTH-TCP-R3"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 3) }, "6x"},
 		{n("LiveRead%dMB/SMARTH-TCP"), func(b *testing.B) { hotbench.LiveReadTCP(b, client.ReadOptions{}, fileBytes) }, ""},
-		{"CtrlPlane64W/batch", func(b *testing.B) { hotbench.ControlPlane(b, true) }, "3x"},
-		{"CtrlPlane64W/nobatch", func(b *testing.B) { hotbench.ControlPlane(b, false) }, "3x"},
+		{"CtrlPlane64W", hotbench.ControlPlane, "3x"},
 	}
 }
 
@@ -318,11 +321,13 @@ func main() {
 	writeMemProfile(*memprofile)
 }
 
-// runCheck re-runs every benchmark recorded in the committed report and
-// fails (returns 1) on regression. Allocations gate tightly: allowed =
-// recorded*1.10 + 64 ops of slack (the live benches jitter by a few
-// dozen allocs with goroutine scheduling). Throughput gates loosely at
-// frac of the recorded MB/s. ns/op is reported but never gates — wall
+// runCheck re-runs the suite against the committed report and fails
+// (returns 1) when a suite benchmark and the recorded rows do not pair
+// up one to one (names a -run filter skips are exempt), or on
+// regression. Allocations gate tightly: allowed = recorded*1.10 + 64
+// ops of slack (the live benches jitter by a few dozen allocs with
+// goroutine scheduling). Throughput gates loosely at frac of the
+// recorded MB/s. ns/op is reported but never gates — wall
 // clock on shared machines is not comparable.
 func runCheck(path string, fileBytes int64, frac float64) int {
 	raw, err := os.ReadFile(path)
@@ -340,13 +345,32 @@ func runCheck(path string, fileBytes int64, frac float64) int {
 		recorded[r.Name] = r
 	}
 
+	// Pair suite names with recorded rows before spending minutes on
+	// the suite: an unmatched name on either side would skip a gate.
+	selected := func(name string) bool { return benchFilter == nil || benchFilter.MatchString(name) }
+	inSuite := make(map[string]bool)
+	unmatched := 0
+	for _, b := range benches(fileBytes) {
+		inSuite[b.name] = true
+		if _, ok := recorded[b.name]; !ok && selected(b.name) {
+			fmt.Printf("  FAIL %s: no recorded row in %s\n", b.name, path)
+			unmatched++
+		}
+	}
+	for _, r := range committed.Current {
+		if !inSuite[r.Name] && selected(r.Name) {
+			fmt.Printf("  FAIL %s: recorded in %s but not in the suite\n", r.Name, path)
+			unmatched++
+		}
+	}
+	if unmatched > 0 {
+		fmt.Printf("-check: %d benchmark name(s) unmatched against %s\n", unmatched, path)
+		return 1
+	}
+
 	failed := 0
 	for _, got := range runSuite(fileBytes) {
-		want, ok := recorded[got.Name]
-		if !ok {
-			fmt.Printf("%-32s (not in %s, skipped)\n", got.Name, path)
-			continue
-		}
+		want := recorded[got.Name]
 		allocBudget := want.AllocsPerOp + want.AllocsPerOp/10 + 64
 		if got.AllocsPerOp > allocBudget {
 			fmt.Printf("  FAIL %s: %d allocs/op, recorded %d (budget %d)\n",

@@ -19,7 +19,10 @@
 //     acks on it. The responder owns the pipeline's trace span and the
 //     done channel — every exit path ends both exactly once.
 //   - Namenode RPCs for one write run on a single FIFO worker
-//     goroutine, preserving the engine's effect order on the wire.
+//     goroutine, one plain RPC per operation, preserving the engine's
+//     effect order on the wire (a heartbeat queued before an addBlock
+//     reaches the namenode first). Nothing is cached client-side:
+//     every Open asks the namenode for block locations.
 //   - A SMARTH block's staging buffer (checked out of a writer-local
 //     free list) is owned from launch until the block commits; HDFS
 //     streams straight from the producer's buffer (Ready-at-commit
@@ -37,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/nnapi"
@@ -73,16 +75,6 @@ type Options struct {
 	Obs *obs.Obs
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// MetaCacheTTL bounds how long a getBlockLocations response may be
-	// served from the client's metadata cache. 0 selects
-	// DefaultMetaCacheTTL; negative disables the cache. The client
-	// invalidates a path on every local mutation (create, addBlock,
-	// recover, complete, delete, rename), so staleness only arises from
-	// other clients' mutations inside the TTL window.
-	MetaCacheTTL time.Duration
-	// MetaCacheSize caps cached paths (LRU eviction); 0 selects
-	// DefaultMetaCacheSize.
-	MetaCacheSize int
 }
 
 // WriteOptions configure one file write.
@@ -118,19 +110,6 @@ type WriteOptions struct {
 	// SpeedOverride replaces measured FNFA speed samples with scripted
 	// ones (conformance harness).
 	SpeedOverride writesched.SpeedFunc
-	// CorkBytes tunes the adaptive cork on data conns: a corked conn
-	// flushes once this many bytes are pending (0 = proto's 128 KiB
-	// default). Only small packets cork — payloads of 4 KiB or more go
-	// out immediately as zero-copy write vectors.
-	CorkBytes int
-	// CorkDelay bounds how long corked bytes may age before the next
-	// packet write flushes them (0 = no age bound, size-only).
-	CorkDelay time.Duration
-	// DisableRPCBatch turns off namenode RPC batching for this write
-	// (ablation knob): every queued control-plane op goes out as its own
-	// frame, like the pre-batching client. Op order is identical either
-	// way — the FIFO worker preserves it, batched or not.
-	DisableRPCBatch bool
 	// Policy names the write policy (internal/policy) governing this
 	// file: placement, effective replication factor, and pipeline
 	// ordering. "" means the default policy, which reproduces the
@@ -165,7 +144,6 @@ type Client struct {
 	done bool
 
 	recorder *core.Recorder
-	meta     *metaCache // nil when Options.MetaCacheTTL < 0
 
 	// Observability handles, cached at construction so hot paths never
 	// touch the registry. All are nil-safe: with Options.Obs unset every
@@ -178,7 +156,6 @@ type Client struct {
 	mRPC          *obs.Histogram // namenode RPC latency (client side)
 	mRecoveries   *obs.Counter   // Algorithm 3/4 recovery episodes
 	mRPCRetries   *obs.Counter   // namenode RPC attempts after the first
-	mRPCBatches   *obs.Counter   // multi-op batch frames sent
 	mReadFill     *obs.Histogram // block-read wait for the next packet
 	mBlocksRead   *obs.Counter   // block streams opened
 	mReadHedges   *obs.Counter   // hedge replicas raced
@@ -228,15 +205,10 @@ func New(opts Options) (*Client, error) {
 		c.mRPC = comp.Histogram("rpc_call_ns")
 		c.mRecoveries = comp.Counter("recoveries")
 		c.mRPCRetries = comp.Counter("rpc_retries")
-		c.mRPCBatches = comp.Counter("rpc_batches")
 		c.mReadFill = comp.Histogram("read_fill_ns")
 		c.mBlocksRead = comp.Counter("blocks_read")
 		c.mReadHedges = comp.Counter("read_hedges")
 		c.mReadFailover = comp.Counter("read_failovers")
-	}
-	if opts.MetaCacheTTL >= 0 {
-		c.meta = newMetaCache(opts.Clock, opts.MetaCacheTTL, opts.MetaCacheSize,
-			opts.Obs.Component("client/"+opts.Name))
 	}
 	c.wg.Add(1)
 	go c.heartbeatLoop()
@@ -385,34 +357,9 @@ func (c *Client) callNN(method string, arg, reply any) error {
 	return lastErr
 }
 
-// callNNBatch sends one nnapi.MethodBatch frame and returns the
-// per-entry results. The namenode executes entries strictly in order;
-// a frame-level error (transport, safe mode on the batch itself) fails
-// every entry, while per-entry errors come back in BatchResult.Err.
-func (c *Client) callNNBatch(entries []nnapi.BatchEntry) ([]nnapi.BatchResult, error) {
-	var resp nnapi.BatchResp
-	if err := c.callNN(nnapi.MethodBatch, nnapi.BatchReq{Entries: entries}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(entries) {
-		return nil, fmt.Errorf("client: batch returned %d results for %d entries", len(resp.Results), len(entries))
-	}
-	c.mRPCBatches.Inc()
-	return resp.Results, nil
-}
-
-// invalidateMeta drops a path from the metadata cache (no-op when the
-// cache is disabled). Called on every local mutation of the path.
-func (c *Client) invalidateMeta(path string) {
-	if c.meta != nil {
-		c.meta.invalidate(path)
-	}
-}
-
 // --- typed ClientProtocol wrappers ---
 
 func (c *Client) createFile(path string, opts WriteOptions) error {
-	c.invalidateMeta(path)
 	return c.callNN(nnapi.MethodCreate, nnapi.CreateReq{
 		Path:        path,
 		Client:      c.opts.Name,
@@ -423,14 +370,14 @@ func (c *Client) createFile(path string, opts WriteOptions) error {
 	}, &nnapi.CreateResp{})
 }
 
-// addBlock allocates the file's next block. prev is the last block this
-// writer was granted; the namenode uses it to de-duplicate retried
-// requests (callNN may retry an attempt the namenode already executed).
-func (c *Client) addBlock(path string, mode proto.WriteMode, exclude []string, prev block.Block) (nnapi.AddBlockResp, error) {
+// addBlock allocates the file's next block. req.Previous is the last
+// block this writer was granted; the namenode uses it to de-duplicate
+// retried requests (callNN may retry an attempt the namenode already
+// executed).
+func (c *Client) addBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) {
+	req.Client = c.opts.Name
 	var resp nnapi.AddBlockResp
-	err := c.callNN(nnapi.MethodAddBlock, nnapi.AddBlockReq{
-		Path: path, Client: c.opts.Name, Mode: mode, Exclude: exclude, Previous: prev,
-	}, &resp)
+	err := c.callNN(nnapi.MethodAddBlock, req, &resp)
 	return resp, err
 }
 
@@ -455,7 +402,6 @@ func (c *Client) completeFile(path string) error {
 			return err
 		}
 		if resp.Done {
-			c.invalidateMeta(path)
 			return nil
 		}
 		if c.clk.Now().Sub(start) >= budget {
@@ -486,25 +432,16 @@ func (c *Client) GetFileInfo(path string) (nnapi.GetFileInfoResp, error) {
 	return resp, err
 }
 
-// getBlockLocations resolves a file's blocks and replica locations,
-// serving from the client's metadata cache when a fresh entry exists.
+// getBlockLocations asks the namenode for a file's blocks and replica
+// locations.
 func (c *Client) getBlockLocations(path string) (nnapi.GetBlockLocationsResp, error) {
-	if c.meta != nil {
-		if resp, ok := c.meta.get(path); ok {
-			return resp, nil
-		}
-	}
 	var resp nnapi.GetBlockLocationsResp
 	err := c.callNN(nnapi.MethodGetBlockLocations, nnapi.GetBlockLocationsReq{Path: path, Client: c.opts.Name}, &resp)
-	if err == nil && c.meta != nil {
-		c.meta.put(path, resp)
-	}
 	return resp, err
 }
 
 // Delete removes a file; it reports whether the file existed.
 func (c *Client) Delete(path string) (bool, error) {
-	c.invalidateMeta(path)
 	var resp nnapi.DeleteResp
 	err := c.callNN(nnapi.MethodDelete, nnapi.DeleteReq{Path: path}, &resp)
 	return resp.Deleted, err
@@ -512,8 +449,6 @@ func (c *Client) Delete(path string) (bool, error) {
 
 // Rename moves a file; the destination must not exist.
 func (c *Client) Rename(src, dst string) error {
-	c.invalidateMeta(src)
-	c.invalidateMeta(dst)
 	return c.callNN(nnapi.MethodRename, nnapi.RenameReq{Src: src, Dst: dst}, &nnapi.RenameResp{})
 }
 

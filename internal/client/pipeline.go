@@ -250,10 +250,9 @@ func (c *Client) streamBlock(p *pipelineConn, data []byte, opts *WriteOptions) e
 	// One reused packet struct and checksum scratch for the whole block;
 	// WritePacket retains neither. The stream is corked so small packets
 	// coalesce (full-size payloads go straight out as write vectors) —
-	// the adaptive thresholds, the Last packet, and an explicit uncork
+	// the conn's size threshold, the Last packet, and an explicit uncork
 	// (for safety on early error returns) flush. Acks ride a separate
 	// direction, so nothing waits on this buffer.
-	p.pc.SetAutoCork(opts.CorkBytes, opts.CorkDelay)
 	_ = p.pc.SetCork(true)
 	defer func() { _ = p.pc.SetCork(false) }()
 	var pkt proto.Packet

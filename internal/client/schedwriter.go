@@ -1,7 +1,6 @@
 package client
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/rpc"
 	"repro/internal/writesched"
 )
 
@@ -68,26 +66,12 @@ type schedWriter struct {
 	// free recycles SMARTH staging buffers (bounded by the pipeline cap).
 	free [][]byte
 
-	// FIFO namenode-RPC queue, drained by one worker goroutine.
-	nnq    []nnOp
+	// FIFO namenode-RPC queue, drained by one worker goroutine: each op
+	// is one plain RPC (plus its outcome handling), run in enqueue order
+	// so a heartbeat queued before an addBlock reaches the namenode first.
+	nnq    []func()
 	nnStop bool
 	wg     sync.WaitGroup
-}
-
-// nnOp is one queued namenode operation. An op with a non-empty method
-// is batchable: when several batchable ops are queued at once, the
-// worker coalesces the run into a single nnapi.MethodBatch frame, whose
-// entries the namenode executes strictly in order — so batching changes
-// frame counts, never the wire order the engine relies on (a heartbeat
-// enqueued before an addBlock is applied before it). An op with only
-// run (complete, recoverBlock — both own retry/span logic) executes as
-// a plain closure and acts as a batching barrier.
-type nnOp struct {
-	run      func()
-	method   string
-	makeReq  func() any                 // builds the request at send time
-	newReply func() any                 // allocates the reply pointer
-	deliver  func(reply any, err error) // consumes the outcome
 }
 
 // newSchedWriter builds the writer, its engine, and the RPC worker.
@@ -313,17 +297,16 @@ func (w *schedWriter) putBlockBuf(b []byte) {
 
 // --- namenode RPC worker ---
 
-func (w *schedWriter) enqueueNN(op nnOp) {
+func (w *schedWriter) enqueueNN(op func()) {
 	w.mu.Lock()
 	w.nnq = append(w.nnq, op)
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }
 
-// nnWorker drains the RPC queue in FIFO order, coalescing each maximal
-// run of batchable ops into one batch frame. Stopping discards any
-// queued work — the writer stops it only after the engine's FileDone,
-// when at most a trailing heartbeat can remain.
+// nnWorker runs the queued ops one at a time in FIFO order. Stopping
+// discards any queued work — the writer stops it only after the
+// engine's FileDone, when at most a trailing heartbeat can remain.
 func (w *schedWriter) nnWorker() {
 	defer w.wg.Done()
 	for {
@@ -335,69 +318,10 @@ func (w *schedWriter) nnWorker() {
 			w.mu.Unlock()
 			return
 		}
-		n := 1
-		if w.nnq[0].run == nil && !w.opts.DisableRPCBatch {
-			for n < len(w.nnq) && n < nnapi.MaxBatchEntries && w.nnq[n].run == nil {
-				n++
-			}
-		}
-		ops := make([]nnOp, n)
-		copy(ops, w.nnq[:n])
-		w.nnq = w.nnq[n:]
+		op := w.nnq[0]
+		w.nnq = w.nnq[1:]
 		w.mu.Unlock()
-		w.runOps(ops)
-	}
-}
-
-// runOps executes one drained queue prefix. A single op goes out as its
-// plain RPC — a writer that never queues two ops at once (or one with
-// DisableRPCBatch set) is wire-identical to an unbatched client. A
-// longer run becomes one batch frame with per-entry outcomes; a remote
-// per-entry failure is delivered as *rpc.RemoteError, exactly what the
-// plain call would have produced.
-func (w *schedWriter) runOps(ops []nnOp) {
-	if len(ops) == 1 {
-		op := ops[0]
-		if op.run != nil {
-			op.run()
-			return
-		}
-		reply := op.newReply()
-		err := w.c.callNN(op.method, op.makeReq(), reply)
-		op.deliver(reply, err)
-		return
-	}
-	entries := make([]nnapi.BatchEntry, len(ops))
-	for i, op := range ops {
-		body, err := json.Marshal(op.makeReq())
-		if err != nil {
-			for _, o := range ops {
-				o.deliver(nil, fmt.Errorf("client: encode batch entry: %w", err))
-			}
-			return
-		}
-		entries[i] = nnapi.BatchEntry{Method: op.method, Body: body}
-	}
-	results, err := w.c.callNNBatch(entries)
-	if err != nil {
-		for _, op := range ops {
-			op.deliver(nil, err)
-		}
-		return
-	}
-	for i, op := range ops {
-		if results[i].Err != "" {
-			op.deliver(nil, &rpc.RemoteError{Msg: results[i].Err})
-			continue
-		}
-		reply := op.newReply()
-		if len(results[i].Body) > 0 {
-			if uerr := json.Unmarshal(results[i].Body, reply); uerr != nil {
-				op.deliver(nil, fmt.Errorf("client: decode batch result: %w", uerr))
-				continue
-			}
-		}
-		op.deliver(reply, nil)
+		op()
 	}
 }
 
@@ -411,30 +335,18 @@ func (w *schedWriter) stopWorker() {
 
 // --- writesched.Substrate ---
 
-// AddBlock asks the namenode for the next block on the RPC worker
-// (batchable — it may share a frame with the heartbeat queued just
-// before it). A placement failure is wrapped in writesched.ErrNoTargets
-// so the engine can wait for a pipeline retirement and retry.
+// AddBlock asks the namenode for the next block on the RPC worker. A
+// placement failure is wrapped in writesched.ErrNoTargets so the engine
+// can wait for a pipeline retirement and retry.
 func (w *schedWriter) AddBlock(idx int, exclude []string, prev block.Block) {
-	req := nnapi.AddBlockReq{
-		Path: w.path, Client: w.c.opts.Name, Mode: w.opts.Mode, Exclude: exclude, Previous: prev,
-		Policy: w.opts.Policy,
-	}
-	w.enqueueNN(nnOp{
-		method:   nnapi.MethodAddBlock,
-		makeReq:  func() any { return req },
-		newReply: func() any { return &nnapi.AddBlockResp{} },
-		deliver: func(reply any, err error) {
-			var located block.LocatedBlock
-			if resp, ok := reply.(*nnapi.AddBlockResp); ok {
-				located = resp.Located
-			}
-			w.c.invalidateMeta(w.path)
-			if err != nil && strings.Contains(err.Error(), "no available datanodes") {
-				err = fmt.Errorf("%w: %v", writesched.ErrNoTargets, err)
-			}
-			w.eng.HandleAddBlock(idx, located, err)
-		},
+	w.enqueueNN(func() {
+		resp, err := w.c.addBlock(nnapi.AddBlockReq{
+			Path: w.path, Mode: w.opts.Mode, Exclude: exclude, Previous: prev, Policy: w.opts.Policy,
+		})
+		if err != nil && strings.Contains(err.Error(), "no available datanodes") {
+			err = fmt.Errorf("%w: %v", writesched.ErrNoTargets, err)
+		}
+		w.eng.HandleAddBlock(idx, resp.Located, err)
 	})
 }
 
@@ -459,12 +371,11 @@ func (w *schedWriter) RecoverBlock(idx, attempt int, blk block.Block, alive, exc
 		w.mu.Unlock()
 		w.c.opts.Logf("client %s: recovering pipeline for %v: %v", w.c.opts.Name, blk, cause)
 	}
-	w.enqueueNN(nnOp{run: func() {
+	w.enqueueNN(func() {
 		resp, err := w.c.recoverBlock(nnapi.RecoverBlockReq{
 			Path: w.path, Block: blk, Alive: alive, Exclude: exclude, Mode: w.opts.Mode,
 			Policy: w.opts.Policy,
 		})
-		w.c.invalidateMeta(w.path)
 		if err == nil {
 			w.mu.Lock()
 			sp := w.recSpans[idx]
@@ -472,31 +383,17 @@ func (w *schedWriter) RecoverBlock(idx, attempt int, blk block.Block, alive, exc
 			sp.Event("rebuilt", strings.Join(resp.Located.Names(), ">"))
 		}
 		w.eng.HandleRecovered(idx, resp.Located, err)
-	}})
+	})
 }
 
 func (w *schedWriter) Complete() {
-	w.enqueueNN(nnOp{run: func() { w.eng.HandleCompleteDone(w.c.completeFile(w.path)) }})
+	w.enqueueNN(func() { w.eng.HandleCompleteDone(w.c.completeFile(w.path)) })
 }
 
-// Heartbeat queues a speed-table push (batchable). The request is built
-// lazily on the worker at send time, so the recorder snapshot reflects
-// every measurement taken while the op sat queued — the same timing an
-// unbatched SendHeartbeat call would capture.
-func (w *schedWriter) Heartbeat() {
-	w.enqueueNN(nnOp{
-		method: nnapi.MethodClientHeartbeat,
-		makeReq: func() any {
-			return nnapi.ClientHeartbeatReq{Client: w.c.opts.Name, Speeds: w.c.recorder.Snapshot()}
-		},
-		newReply: func() any { return &nnapi.ClientHeartbeatResp{} },
-		deliver: func(_ any, err error) {
-			if err != nil {
-				w.c.opts.Logf("client %s: heartbeat: %v", w.c.opts.Name, err)
-			}
-		},
-	})
-}
+// Heartbeat queues a speed-table push. SendHeartbeat snapshots the
+// recorder when the worker runs it, so the push carries every
+// measurement taken while the op sat queued.
+func (w *schedWriter) Heartbeat() { w.enqueueNN(w.c.SendHeartbeat) }
 
 func (w *schedWriter) RecordSpeed(dn string, bytes int64, elapsed time.Duration) {
 	w.c.recorder.Record(dn, bytes, elapsed)

@@ -136,6 +136,35 @@ func TestLeaseRecoveryEndToEnd(t *testing.T) {
 	verifyFile(t, second, "/contested", data)
 }
 
+// TestReadAfterOverwriteSeesNewBytes reads a file, overwrites it from
+// the same client with shorter content, and requires the next read to
+// return exactly the new bytes: every Open asks the namenode afresh.
+func TestReadAfterOverwriteSeesNewBytes(t *testing.T) {
+	c := startTestCluster(t, 9)
+	cl, err := c.NewClient("reader")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := randomData(5, 600<<10)
+	writeFile(t, cl, "/overwritten", v1, proto.ModeSmarth)
+	verifyFile(t, cl, "/overwritten", v1)
+
+	v2 := randomData(6, 300<<10)
+	opts := testWriteOptions(proto.ModeSmarth)
+	opts.Overwrite = true
+	w, err := cl.CreateSmarth("/overwritten", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	verifyFile(t, cl, "/overwritten", v2)
+}
+
 func TestReadRange(t *testing.T) {
 	c := startTestCluster(t, 9)
 	cl, _ := c.NewClient("client")

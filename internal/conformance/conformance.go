@@ -213,18 +213,6 @@ func RunSim(s Scenario) (string, error) {
 // FNFA deadline expires and the engine blames pipeline position 0 — the
 // same node the sim's unknown-position sweep blames.
 func RunLive(s Scenario, victim string) (string, error) {
-	return runLive(s, victim, false)
-}
-
-// RunLiveNoBatch replays the scenario on the live substrate with client
-// RPC batching disabled (WriteOptions.DisableRPCBatch) — the ablation
-// proving batching changes framing only, never a protocol decision: its
-// log must match both RunLive's and RunSim's byte-for-byte.
-func RunLiveNoBatch(s Scenario, victim string) (string, error) {
-	return runLive(s, victim, true)
-}
-
-func runLive(s Scenario, victim string, noBatch bool) (string, error) {
 	var fn *faultnet.Network
 	cfg := cluster.Config{
 		NumDatanodes: NumDatanodes,
@@ -270,17 +258,15 @@ func runLive(s Scenario, victim string, noBatch bool) (string, error) {
 
 	var log writesched.DecisionLog
 	opts := client.WriteOptions{
-		Mode:         s.Mode,
-		BlockSize:    BlockSize,
-		PacketSize:   PacketSize,
-		MaxPipelines: s.MaxPipelines,
-
-		DisableRPCBatch: noBatch,
-		Seed:            s.Seed,
-		StrictRetire:    true,
-		SchedLog:        &log,
-		SpeedOverride:   speedFunc(s.SpeedMbps),
-		Policy:          s.Policy,
+		Mode:          s.Mode,
+		BlockSize:     BlockSize,
+		PacketSize:    PacketSize,
+		MaxPipelines:  s.MaxPipelines,
+		Seed:          s.Seed,
+		StrictRetire:  true,
+		SchedLog:      &log,
+		SpeedOverride: speedFunc(s.SpeedMbps),
+		Policy:        s.Policy,
 	}
 	var w client.Writer
 	if s.Mode == proto.ModeSmarth {

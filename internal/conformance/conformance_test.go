@@ -41,14 +41,10 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceRPCBatchingInvariant is the control-plane ablation:
-// the same scenario runs live with RPC batching (and the metadata
-// cache) enabled — the default — and again with batching disabled, and
-// both logs must equal the sim's byte-for-byte. Batching coalesces
-// heartbeat and addBlock frames; it must never reorder them or change a
-// placement, so the engine's decision log cannot tell the runs apart.
-// Fault scenarios are covered by TestConformance; here the clean ones
-// suffice and keep the extra live runs cheap.
+// TestConformanceRPCBatchingInvariant pins the control-plane invariant
+// on the clean scenarios: the live client sends one plain namenode RPC
+// per operation, in the engine's effect order, on its FIFO worker, so
+// the live decision log equals the sim's byte-for-byte.
 func TestConformanceRPCBatchingInvariant(t *testing.T) {
 	for _, s := range Scenarios() {
 		if s.Fault != nil {
@@ -60,19 +56,12 @@ func TestConformanceRPCBatchingInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim run: %v", err)
 			}
-			batched, err := RunLive(s, "")
+			liveLog, err := RunLive(s, "")
 			if err != nil {
-				t.Fatalf("live (batched) run: %v", err)
+				t.Fatalf("live run: %v", err)
 			}
-			if batched != simLog {
-				t.Fatalf("batched live log diverges from sim:%s", diff(simLog, batched))
-			}
-			unbatched, err := RunLiveNoBatch(s, "")
-			if err != nil {
-				t.Fatalf("live (unbatched) run: %v", err)
-			}
-			if unbatched != simLog {
-				t.Fatalf("unbatched live log diverges from sim:%s", diff(simLog, unbatched))
+			if liveLog != simLog {
+				t.Fatalf("live log diverges from sim:%s", diff(simLog, liveLog))
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,27 +161,49 @@ func TestDialFaults(t *testing.T) {
 	}
 }
 
+// recordingClock is the system clock plus a log of every delay handed
+// to Sleep. Only the writing goroutine sleeps, so the log needs no lock.
+type recordingClock struct {
+	clock.Real
+	sleeps []time.Duration
+}
+
+func (c *recordingClock) Sleep(d time.Duration) {
+	c.sleeps = append(c.sleeps, d)
+	c.Real.Sleep(d)
+}
+
+// TestDelayIsDeterministic compares the injected delays themselves, not
+// wall-clock write times: two same-seed runs must hand identical delays
+// to the clock, and each Write must take at least its recorded delay.
 func TestDelayIsDeterministic(t *testing.T) {
 	sample := func(seed int64) []time.Duration {
 		n := Wrap(transport.NewMemNetwork(nil), seed)
+		clk := &recordingClock{}
+		n.SetClock(clk)
 		cli, srv := pair(t, n, "cli", "srv")
 		go io.Copy(io.Discard, srv)
 		n.SetLink("cli", "srv", Fault{Delay: time.Millisecond, DelayJitter: 5 * time.Millisecond})
-		var out []time.Duration
 		for i := 0; i < 4; i++ {
 			start := time.Now()
 			if _, err := cli.Write([]byte("x")); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, time.Since(start).Round(time.Millisecond))
+			took := time.Since(start)
+			if len(clk.sleeps) != i+1 {
+				t.Fatalf("write %d: %d delays recorded, want %d", i, len(clk.sleeps), i+1)
+			}
+			if d := clk.sleeps[i]; d < time.Millisecond || d >= 6*time.Millisecond {
+				t.Fatalf("write %d: delay %v outside [1ms, 6ms)", i, d)
+			} else if took < d {
+				t.Fatalf("write %d took %v, less than its injected delay %v", i, took, d)
+			}
 		}
-		return out
+		return clk.sleeps
 	}
 	a, b := sample(42), sample(42)
-	for i := range a {
-		if d := a[i] - b[i]; d > 2*time.Millisecond || d < -2*time.Millisecond {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
-		}
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
 }
 

@@ -1,7 +1,6 @@
 package hotbench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -102,18 +101,14 @@ func ctrlPrefill(b *testing.B, c *cluster.Cluster, n int) {
 
 // ControlPlane measures namenode control-plane throughput: CtrlWriters
 // concurrent writers run full metadata-only write lifecycles against a
-// CtrlPrefillFiles-file namespace. batch selects the transport shape:
-// false issues one RPC per logical operation (the pre-batching wire
-// protocol); true rides the heartbeat+addBlock pair in one batched
-// frame and aggregates the per-block replica reports into a single
-// delta report, which is what the real client and datanode do.
+// CtrlPrefillFiles-file namespace, one plain RPC per operation: per
+// block a heartbeat then an addBlock (the client's wire order), then one
+// blockReceived per finalized replica.
 //
-// Reported metrics: "rpcs/s" is logical control-plane operations served
-// per second (a batched frame carrying two operations counts two — the
-// measure is namenode metadata throughput, not frame count),
-// "addblock-p50-ns"/"addblock-p99-ns" are client-observed addBlock
-// latencies, batching included.
-func ControlPlane(b *testing.B, batch bool) {
+// Reported metrics: "rpcs/s" is control-plane RPCs served per second;
+// "addblock-p50-ns"/"addblock-p99-ns" are client-observed latencies of
+// each block's heartbeat+addBlock pair.
+func ControlPlane(b *testing.B) {
 	c, err := cluster.Start(cluster.Config{NumDatanodes: 9, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -150,42 +145,11 @@ func ControlPlane(b *testing.B, batch bool) {
 				ab := nnapi.AddBlockReq{Path: path, Client: name, Mode: proto.ModeSmarth, Previous: prev}
 				var abResp nnapi.AddBlockResp
 				start := time.Now()
-				if batch {
-					// The batched client's wire shape: heartbeat and addBlock
-					// ride one frame, order preserved by the server.
-					hbBody, err := json.Marshal(hb)
-					if err != nil {
-						return ops, err
-					}
-					abBody, err := json.Marshal(ab)
-					if err != nil {
-						return ops, err
-					}
-					var bresp nnapi.BatchResp
-					if err := cl.Call(nnapi.MethodBatch, nnapi.BatchReq{Entries: []nnapi.BatchEntry{
-						{Method: nnapi.MethodClientHeartbeat, Body: hbBody},
-						{Method: nnapi.MethodAddBlock, Body: abBody},
-					}}, &bresp); err != nil {
-						return ops, fmt.Errorf("batch hb+addBlock %s: %w", path, err)
-					}
-					if len(bresp.Results) != 2 {
-						return ops, fmt.Errorf("batch: %d results, want 2", len(bresp.Results))
-					}
-					for _, r := range bresp.Results {
-						if r.Err != "" {
-							return ops, fmt.Errorf("batch entry %s: %s", path, r.Err)
-						}
-					}
-					if err := json.Unmarshal(bresp.Results[1].Body, &abResp); err != nil {
-						return ops, fmt.Errorf("batch addBlock decode: %w", err)
-					}
-				} else {
-					if err := cl.Call(nnapi.MethodClientHeartbeat, hb, &nnapi.ClientHeartbeatResp{}); err != nil {
-						return ops, fmt.Errorf("heartbeat: %w", err)
-					}
-					if err := cl.Call(nnapi.MethodAddBlock, ab, &abResp); err != nil {
-						return ops, fmt.Errorf("addBlock %s: %w", path, err)
-					}
+				if err := cl.Call(nnapi.MethodClientHeartbeat, hb, &nnapi.ClientHeartbeatResp{}); err != nil {
+					return ops, fmt.Errorf("heartbeat: %w", err)
+				}
+				if err := cl.Call(nnapi.MethodAddBlock, ab, &abResp); err != nil {
+					return ops, fmt.Errorf("addBlock %s: %w", path, err)
 				}
 				lat.add(time.Since(start))
 				ops += 2
@@ -194,24 +158,12 @@ func ControlPlane(b *testing.B, batch bool) {
 				got.NumBytes = ctrlBlockBytes
 				blocks = append(blocks, got)
 			}
-			// The finalized-replica reports: a single delta report in
-			// batched mode, one RPC per block otherwise.
-			if batch {
-				var brResp nnapi.BlockReceivedBatchResp
-				if err := cl.Call(nnapi.MethodBlockReceivedBatch, nnapi.BlockReceivedBatchReq{Name: dn, Blocks: blocks}, &brResp); err != nil {
-					return ops, fmt.Errorf("blockReceivedBatch: %w", err)
+			// The finalized-replica reports, one RPC per block.
+			for _, blk := range blocks {
+				if err := cl.Call(nnapi.MethodBlockReceived, nnapi.BlockReceivedReq{Name: dn, Block: blk}, &nnapi.BlockReceivedResp{}); err != nil {
+					return ops, fmt.Errorf("blockReceived: %w", err)
 				}
-				if brResp.Rejected > 0 {
-					return ops, fmt.Errorf("blockReceivedBatch: %d rejected", brResp.Rejected)
-				}
-				ops += int64(len(blocks))
-			} else {
-				for _, blk := range blocks {
-					if err := cl.Call(nnapi.MethodBlockReceived, nnapi.BlockReceivedReq{Name: dn, Block: blk}, &nnapi.BlockReceivedResp{}); err != nil {
-						return ops, fmt.Errorf("blockReceived: %w", err)
-					}
-					ops++
-				}
+				ops++
 			}
 			var comp nnapi.CompleteResp
 			for !comp.Done {

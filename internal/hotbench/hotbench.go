@@ -191,7 +191,7 @@ func LiveWriteObs(b *testing.B, mode proto.WriteMode, fileBytes int64, o *obs.Ob
 
 // LiveWriteTCP is LiveWrite on real loopback TCP sockets instead of the
 // in-memory transport: kernel socket buffers, writev batching, and
-// adaptive corking are all in play. repl sets the replication factor
+// corking are all in play. repl sets the replication factor
 // (1 isolates single-hop protocol overhead against RawCopyTCP, which
 // moves each byte across the loopback exactly once; 3 is the paper's
 // pipeline). Blocks are 8 MB so the 64 MB upload spans several pipelines without

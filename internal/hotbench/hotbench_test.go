@@ -54,10 +54,7 @@ func BenchmarkHotPathLiveRead64MBTCP(b *testing.B) {
 	b.Run("SMARTH", func(b *testing.B) { LiveReadTCP(b, client.ReadOptions{}, 64<<20) })
 }
 
-func BenchmarkHotPathCtrlPlane64W(b *testing.B) {
-	b.Run("batch", func(b *testing.B) { ControlPlane(b, true) })
-	b.Run("nobatch", func(b *testing.B) { ControlPlane(b, false) })
-}
+func BenchmarkHotPathCtrlPlane64W(b *testing.B) { ControlPlane(b) }
 
 func BenchmarkHotPathLiveWrite64MBObs(b *testing.B) {
 	for _, mode := range []proto.WriteMode{proto.ModeSmarth, proto.ModeHDFS} {

@@ -15,7 +15,6 @@
 package namenode
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -66,7 +65,7 @@ type Options struct {
 }
 
 // methodMetrics holds one RPC method's latency histogram and error
-// counter, shared by the RPC-server observer and the batch executor.
+// counter, updated by the RPC-server observer.
 type methodMetrics struct {
 	lat  *obs.Histogram
 	errs *obs.Counter
@@ -101,21 +100,20 @@ type Namenode struct {
 	policies    map[string]policy.Policy
 	maintPolicy string
 
-	// batchable maps method names to their decode/execute handlers; the
-	// Batch RPC re-dispatches entries through it.
-	batchable map[string]rpc.Handler
+	// handlers maps every served method name to its decode/execute
+	// handler: the registration table for Serve and the key set for mm.
+	handlers map[string]rpc.Handler
 
 	// Observability (nil-safe no-ops when Options.Obs is unset).
 	obsComp          *obs.Component
 	mm               map[string]methodMetrics
 	mPlaceSmarth     *obs.Counter
 	mPlaceDefault    *obs.Counter
-	mPolicyDecisions *obs.Counter                // every placement decision, any policy
-	mPolicyPlace     map[string]*obs.Counter     // placement decisions per policy name
+	mPolicyDecisions *obs.Counter            // every placement decision, any policy
+	mPolicyPlace     map[string]*obs.Counter // placement decisions per policy name
 	mBlocksAllocated *obs.Counter
 	mBlockRecoveries *obs.Counter
-	mRPCs            *obs.Counter // logical operations served (batch entries count individually)
-	mBatches         *obs.Counter // batch frames served
+	mRPCs            *obs.Counter // RPCs served
 	mShardContention *obs.Counter // contended shard/stripe lock acquisitions
 }
 
@@ -170,10 +168,9 @@ func New(opts Options) *Namenode {
 	nn.mBlocksAllocated = nn.obsComp.Counter("blocks_allocated")
 	nn.mBlockRecoveries = nn.obsComp.Counter("block_recoveries")
 	nn.mRPCs = nn.obsComp.Counter("nn_rpcs")
-	nn.mBatches = nn.obsComp.Counter("nn_batches")
 	nn.mShardContention = nn.obsComp.Counter("shard_contention")
 	nn.ns = newNamesystem(shards, nn.mShardContention)
-	nn.batchable = map[string]rpc.Handler{
+	nn.handlers = map[string]rpc.Handler{
 		nnapi.MethodCreate:             rpc.HandlerFor(nnapi.MethodCreate, nn.Create),
 		nnapi.MethodAddBlock:           rpc.HandlerFor(nnapi.MethodAddBlock, nn.AddBlock),
 		nnapi.MethodAbandonBlock:       rpc.HandlerFor(nnapi.MethodAbandonBlock, nn.AbandonBlock),
@@ -189,19 +186,14 @@ func New(opts Options) *Namenode {
 		nnapi.MethodHeartbeat:          rpc.HandlerFor(nnapi.MethodHeartbeat, nn.Heartbeat),
 		nnapi.MethodBlockReceived:      rpc.HandlerFor(nnapi.MethodBlockReceived, nn.BlockReceived),
 		nnapi.MethodBlockReceivedBatch: rpc.HandlerFor(nnapi.MethodBlockReceivedBatch, nn.BlockReceivedBatch),
+		nnapi.MethodRegister:           rpc.HandlerFor(nnapi.MethodRegister, nn.Register),
+		nnapi.MethodDecommission:       rpc.HandlerFor(nnapi.MethodDecommission, nn.Decommission),
+		nnapi.MethodDecommStatus:       rpc.HandlerFor(nnapi.MethodDecommStatus, nn.DecommissionStatus),
+		nnapi.MethodBalance:            rpc.HandlerFor(nnapi.MethodBalance, nn.Balance),
 	}
 	if opts.Obs != nil {
-		nn.mm = make(map[string]methodMetrics)
-		for m := range nn.batchable {
-			nn.mm[m] = methodMetrics{
-				lat:  nn.obsComp.Histogram("rpc_" + m + "_ns"),
-				errs: nn.obsComp.Counter("rpc_" + m + "_errors"),
-			}
-		}
-		for _, m := range []string{
-			nnapi.MethodBatch, nnapi.MethodRegister,
-			nnapi.MethodDecommission, nnapi.MethodDecommStatus, nnapi.MethodBalance,
-		} {
+		nn.mm = make(map[string]methodMetrics, len(nn.handlers))
+		for m := range nn.handlers {
 			nn.mm[m] = methodMetrics{
 				lat:  nn.obsComp.Histogram("rpc_" + m + "_ns"),
 				errs: nn.obsComp.Counter("rpc_" + m + "_errors"),
@@ -249,24 +241,15 @@ func (nn *Namenode) policyByName(name string) policy.Policy {
 // Serve runs the RPC server on l until the listener closes.
 func (nn *Namenode) Serve(l transport.Listener) {
 	s := rpc.NewServer()
-	for method, h := range nn.batchable {
+	for method, h := range nn.handlers {
 		s.RegisterFunc(method, h)
 	}
-	rpc.Handle(s, nnapi.MethodBatch, nn.Batch)
-	rpc.Handle(s, nnapi.MethodRegister, nn.Register)
-	rpc.Handle(s, nnapi.MethodDecommission, nn.Decommission)
-	rpc.Handle(s, nnapi.MethodDecommStatus, nn.DecommissionStatus)
-	rpc.Handle(s, nnapi.MethodBalance, nn.Balance)
 	if nn.obsComp != nil {
 		// Per-method latency histograms and error counters are pre-built
-		// in New (shared with the batch executor), so the observer
-		// callback is a lock-free map read + atomic update.
+		// in New, so the observer callback is a lock-free map read +
+		// atomic update.
 		s.SetObserver(func(method string, d time.Duration, errored bool) {
-			if method == nnapi.MethodBatch {
-				nn.mBatches.Inc()
-			} else {
-				nn.mRPCs.Inc()
-			}
+			nn.mRPCs.Inc()
 			mm, ok := nn.mm[method]
 			if !ok {
 				return
@@ -527,54 +510,6 @@ func (nn *Namenode) ClusterInfo(nnapi.ClusterInfoReq) (nnapi.ClusterInfoResp, er
 		Racks:           nn.dm.numRacks(),
 		SafeMode:        nn.checkSafeMode() != nil,
 	}, nil
-}
-
-// Batch executes up to nnapi.MaxBatchEntries control-plane operations in
-// one RPC frame, strictly in entry order and never concurrently with
-// each other — so a [clientHeartbeat, addBlock] pair batched by a client
-// observes exactly the state sequence of two separate in-order RPCs.
-// Each entry succeeds or fails independently (a failed entry does not
-// abort the rest), and nested batches are rejected. Per-method latency
-// metrics and the nn_rpcs logical-operation counter are maintained per
-// entry, so batching changes frame counts, not accounting.
-func (nn *Namenode) Batch(req nnapi.BatchReq) (nnapi.BatchResp, error) {
-	if len(req.Entries) > nnapi.MaxBatchEntries {
-		return nnapi.BatchResp{}, fmt.Errorf("namenode: batch carries %d entries, cap is %d", len(req.Entries), nnapi.MaxBatchEntries)
-	}
-	results := make([]nnapi.BatchResult, len(req.Entries))
-	for i, e := range req.Entries {
-		h, ok := nn.batchable[e.Method]
-		if !ok {
-			results[i].Err = "namenode: method not batchable: " + e.Method
-			continue
-		}
-		nn.mRPCs.Inc()
-		mm, hasMM := nn.mm[e.Method]
-		var start time.Time
-		if hasMM {
-			start = time.Now()
-		}
-		v, err := h(e.Body)
-		if hasMM {
-			mm.lat.Observe(time.Since(start).Nanoseconds())
-			if err != nil {
-				mm.errs.Inc()
-			}
-		}
-		if err != nil {
-			results[i].Err = err.Error()
-			continue
-		}
-		if v != nil {
-			body, merr := json.Marshal(v)
-			if merr != nil {
-				results[i].Err = "namenode: encode batch result: " + merr.Error()
-				continue
-			}
-			results[i].Body = body
-		}
-	}
-	return nnapi.BatchResp{Results: results}, nil
 }
 
 // --- AdminProtocol ---

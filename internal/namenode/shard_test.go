@@ -1,9 +1,7 @@
 package namenode
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,97 +125,6 @@ func TestRenameAcrossShardsMovesLease(t *testing.T) {
 	beatAll(t, nn, names) // keep datanodes alive across the clock jumps
 	if _, err := nn.AddBlock(nnapi.AddBlockReq{Path: "/zz42/f", Client: "c1"}); err != nil {
 		t.Fatalf("lease lost after rename + renewal: %v", err)
-	}
-}
-
-// TestBatchExecutesInOrder proves the batch contract the client's RPC
-// batching depends on: a [clientHeartbeat, addBlock] frame applies the
-// heartbeat's speed records before placement runs. If the order ever
-// flipped, the namenode would have no records for the client and fall
-// back to uniform-random placement — over 8 rounds the first targets
-// would stray from the TopN set with overwhelming probability.
-func TestBatchExecutesInOrder(t *testing.T) {
-	nn, _, names := newTestNN(t)
-	speeds := make(map[string]float64, len(names))
-	top := map[string]bool{}
-	for i, n := range names {
-		speeds[n] = float64(10 * (i + 1))
-		if i >= len(names)-3 { // TopN with 9 nodes / replication 3 = 3
-			top[n] = true
-		}
-	}
-	for f := 0; f < 8; f++ {
-		path := fmt.Sprintf("/b/f%d", f)
-		if _, err := nn.Create(nnapi.CreateReq{Path: path, Client: "batcher", Replication: 3, BlockSize: 1 << 20}); err != nil {
-			t.Fatal(err)
-		}
-		hb, _ := json.Marshal(nnapi.ClientHeartbeatReq{Client: "batcher", Speeds: speeds})
-		ab, _ := json.Marshal(nnapi.AddBlockReq{Path: path, Client: "batcher", Mode: proto.ModeSmarth})
-		resp, err := nn.Batch(nnapi.BatchReq{Entries: []nnapi.BatchEntry{
-			{Method: nnapi.MethodClientHeartbeat, Body: hb},
-			{Method: nnapi.MethodAddBlock, Body: ab},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range resp.Results {
-			if r.Err != "" {
-				t.Fatalf("entry %d: %s", i, r.Err)
-			}
-		}
-		var abResp nnapi.AddBlockResp
-		if err := json.Unmarshal(resp.Results[1].Body, &abResp); err != nil {
-			t.Fatal(err)
-		}
-		if first := abResp.Located.Targets[0].Name; !top[first] {
-			t.Fatalf("file %d: first target %s not in TopN %v — heartbeat was not applied before addBlock", f, first, top)
-		}
-	}
-}
-
-// TestBatchEntryFailureIsIsolated verifies one failing entry neither
-// aborts the frame nor poisons its neighbors, and that unknown or
-// nested methods are rejected per-entry.
-func TestBatchEntryFailureIsIsolated(t *testing.T) {
-	nn, _, _ := newTestNN(t)
-	if _, err := nn.Create(nnapi.CreateReq{Path: "/dup", Client: "c1", Replication: 1, BlockSize: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	dup, _ := json.Marshal(nnapi.CreateReq{Path: "/dup", Client: "c1", Replication: 1, BlockSize: 1 << 20})
-	ok, _ := json.Marshal(nnapi.CreateReq{Path: "/fresh", Client: "c1", Replication: 1, BlockSize: 1 << 20})
-	nested, _ := json.Marshal(nnapi.BatchReq{})
-	resp, err := nn.Batch(nnapi.BatchReq{Entries: []nnapi.BatchEntry{
-		{Method: nnapi.MethodCreate, Body: dup},     // fails: exists
-		{Method: nnapi.MethodCreate, Body: ok},      // succeeds
-		{Method: nnapi.MethodBatch, Body: nested},   // rejected: nested
-		{Method: "ClientProtocol.bogus", Body: nil}, // rejected: unknown
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Err == "" || !strings.Contains(resp.Results[0].Err, "exists") {
-		t.Errorf("entry 0: want file-exists error, got %q", resp.Results[0].Err)
-	}
-	if resp.Results[1].Err != "" {
-		t.Errorf("entry 1 failed: %s", resp.Results[1].Err)
-	}
-	if resp.Results[2].Err == "" || !strings.Contains(resp.Results[2].Err, "not batchable") {
-		t.Errorf("entry 2: want nested-batch rejection, got %q", resp.Results[2].Err)
-	}
-	if resp.Results[3].Err == "" {
-		t.Error("entry 3: unknown method accepted")
-	}
-	if info, err := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: "/fresh"}); err != nil || !info.Exists {
-		t.Errorf("entry 2's neighbor did not execute: exists=%v err=%v", info.Exists, err)
-	}
-
-	// A frame over the cap is refused outright.
-	over := make([]nnapi.BatchEntry, nnapi.MaxBatchEntries+1)
-	for i := range over {
-		over[i] = nnapi.BatchEntry{Method: nnapi.MethodClusterInfo, Body: []byte("{}")}
-	}
-	if _, err := nn.Batch(nnapi.BatchReq{Entries: over}); err == nil {
-		t.Error("oversized batch accepted")
 	}
 }
 

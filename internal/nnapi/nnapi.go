@@ -7,8 +7,6 @@
 package nnapi
 
 import (
-	"encoding/json"
-
 	"repro/internal/block"
 	"repro/internal/proto"
 )
@@ -27,20 +25,15 @@ const (
 	MethodDelete            = "ClientProtocol.delete"
 	MethodRename            = "ClientProtocol.rename"
 	MethodList              = "ClientProtocol.list"
-	// MethodBatch executes several control-plane operations in one RPC
-	// frame, strictly in entry order. It is how the client's FIFO
-	// namenode worker preserves the heartbeat-before-addBlock wire
-	// invariant while cutting frame count.
-	MethodBatch             = "ClientProtocol.batch"
 	MethodRegister          = "DatanodeProtocol.register"
 	MethodHeartbeat         = "DatanodeProtocol.heartbeat"
 	MethodBlockReceived     = "DatanodeProtocol.blockReceived"
 	// MethodBlockReceivedBatch is the datanode's delta block report: all
 	// replicas finalized since the last report, in one frame.
 	MethodBlockReceivedBatch = "DatanodeProtocol.blockReceivedBatch"
-	MethodDecommission      = "AdminProtocol.decommission"
-	MethodDecommStatus      = "AdminProtocol.decommissionStatus"
-	MethodBalance           = "AdminProtocol.balance"
+	MethodDecommission       = "AdminProtocol.decommission"
+	MethodDecommStatus       = "AdminProtocol.decommissionStatus"
+	MethodBalance            = "AdminProtocol.balance"
 )
 
 // CreateReq creates a file in the namespace (step 1 of a write).
@@ -334,40 +327,4 @@ type BlockReceivedBatchReq struct {
 // error, and the datanode does not retry them.
 type BlockReceivedBatchResp struct {
 	Rejected int
-}
-
-// MaxBatchEntries bounds how many operations one batch RPC may carry.
-// The cap keeps a single frame from monopolizing a namenode dispatch
-// goroutine and bounds request-frame size.
-const MaxBatchEntries = 64
-
-// BatchEntry is one operation inside a batch RPC: the method name and
-// its JSON-encoded request body, exactly as they would appear in a
-// standalone call.
-type BatchEntry struct {
-	Method string
-	Body   json.RawMessage
-}
-
-// BatchReq carries ordered control-plane operations to execute in one
-// frame. The namenode executes entries strictly in slice order and never
-// concurrently with each other, so a [clientHeartbeat, addBlock] pair
-// batched by the client observes the same state sequence as two separate
-// in-order RPCs. Nested batches are rejected.
-type BatchReq struct {
-	Entries []BatchEntry
-}
-
-// BatchResult is the outcome of one batch entry: the JSON-encoded
-// response body on success, or the error text (Err non-empty) on
-// failure. A failed entry does not abort the rest of the batch — each
-// entry succeeds or fails exactly as a standalone RPC would.
-type BatchResult struct {
-	Body json.RawMessage
-	Err  string
-}
-
-// BatchResp carries one result per request entry, in order.
-type BatchResp struct {
-	Results []BatchResult
 }

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/checksum"
-	"repro/internal/clock"
 )
 
 // vecSink is a BuffersWriter-capable stream: the duck type the frame
@@ -172,55 +170,27 @@ func TestVectoredWritePacketAllocs(t *testing.T) {
 	}
 }
 
-// The size half of the adaptive cork: once pending staged bytes cross
-// the threshold the conn flushes on its own, without an uncork.
+// A corked conn flushes on its own once corkBytes are pending, without
+// an uncork. Each payload stays under borrowMin so every frame is staged.
 func TestAdaptiveCorkSizeThreshold(t *testing.T) {
-	small := make([]byte, 256)
+	small := make([]byte, 2048)
 	sums := checksum.Sum(small, DefaultChunkSize)
 	var sink vecSink
 	c := NewConn(&sink)
-	c.SetAutoCork(1024, 0) // ~3 staged frames of this size
 	if err := c.SetCork(true); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
+	const frames = 128 // ~2 KiB each: twice the 128 KiB threshold
+	for i := 0; i < frames; i++ {
 		if err := c.WritePacket(&Packet{Seqno: int64(i), Sums: sums, Data: small}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if sink.buf.Len() == 0 {
-		t.Fatal("no auto-flush: 16 frames staged past a 1 KB cork threshold")
+		t.Fatalf("no auto-flush: %d frames staged past the %d-byte cork threshold", frames, corkBytes)
 	}
 	flushed := sink.gathers + sink.writes
-	if flushed >= 16 {
-		t.Fatalf("auto-cork did not coalesce: %d transport ops for 16 frames", flushed)
-	}
-}
-
-// The latency half of the adaptive cork: a stale pending frame forces a
-// flush on the next write even when the size threshold is far away.
-func TestAdaptiveCorkDelayThreshold(t *testing.T) {
-	small := make([]byte, 64)
-	sums := checksum.Sum(small, DefaultChunkSize)
-	var sink vecSink
-	clk := clock.NewManual(time.Unix(0, 0))
-	c := NewConn(&sink)
-	c.SetClock(clk)
-	c.SetAutoCork(1<<30, 10*time.Millisecond)
-	if err := c.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WritePacket(&Packet{Seqno: 0, Sums: sums, Data: small}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.buf.Len() != 0 {
-		t.Fatal("first small frame flushed despite a 1 GB cork threshold")
-	}
-	clk.Advance(20 * time.Millisecond)
-	if err := c.WritePacket(&Packet{Seqno: 1, Sums: sums, Data: small}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.buf.Len() == 0 {
-		t.Fatal("stale pending frame did not force a flush after the cork delay")
+	if flushed >= frames {
+		t.Fatalf("auto-cork did not coalesce: %d transport ops for %d frames", flushed, frames)
 	}
 }

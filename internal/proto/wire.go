@@ -47,10 +47,10 @@ const (
 	// tails are copied into the staging buffer so tiny frames coalesce.
 	borrowMin = 4 << 10
 
-	// defaultCorkBytes is the pending-byte threshold at which a corked
-	// conn flushes anyway (see SetAutoCork). Matches the write-buffer
-	// size the pre-vectored implementation flushed at.
-	defaultCorkBytes = 128 << 10
+	// corkBytes is the pending-byte threshold at which a corked conn
+	// flushes anyway. Matches the write-buffer size the pre-vectored
+	// implementation flushed at.
+	corkBytes = 128 << 10
 
 	// directReadMin is the smallest body remainder read straight from
 	// the underlying stream instead of through the read buffer, skipping
@@ -174,14 +174,9 @@ type Conn struct {
 	c   io.Closer
 	d   deadlineSetter
 
-	// Cork state; owned by the writing side, like fw. corked suppresses
-	// the per-data-packet flush; corkBytes/corkDelay are the adaptive
-	// flush thresholds (see SetAutoCork); corkFirst stamps the oldest
-	// pending frame (tracked only when corkDelay > 0).
-	corked    bool
-	corkBytes int
-	corkDelay time.Duration
-	corkFirst time.Time
+	// corked suppresses the per-data-packet flush; owned by the writing
+	// side, like fw.
+	corked bool
 
 	// whdr/rhdr are length-prefix scratch — fields rather than locals so
 	// they don't escape per frame.
@@ -301,11 +296,11 @@ func (c *Conn) Close() error {
 func (c *Conn) Flush() error { return c.flushPending() }
 
 // SetCork toggles corked output. While corked, data packets are not
-// flushed per frame: small frames accumulate and reach the wire when the
-// adaptive thresholds fire (see SetAutoCork), when a Last packet is
-// written, or on an explicit Flush. Large packet payloads always flush —
-// they are borrowed zero-copy and must not outlive WritePacket — so the
-// cork only ever delays cheap-to-buffer control-sized frames. Headers
+// flushed per frame: small frames accumulate and reach the wire once
+// corkBytes are pending, when a Last packet is written, or on an
+// explicit Flush. Large packet payloads always flush — they are
+// borrowed zero-copy and must not outlive WritePacket — so the cork
+// only ever delays cheap-to-buffer control-sized frames. Headers
 // and acks always flush eagerly regardless: they are latency-sensitive
 // control traffic (pipeline setup, per-packet acks, the FNFA) that must
 // never sit behind a cork. Uncorking flushes whatever is pending.
@@ -320,39 +315,6 @@ func (c *Conn) SetCork(on bool) error {
 	return nil
 }
 
-// SetAutoCork tunes the corked flush policy: a corked conn flushes once
-// at least bytes are pending (0 selects the 128 KiB default), or — when
-// delay > 0 — once the oldest pending frame has waited delay, whichever
-// comes first. The age check piggybacks on writeFrame (the conn has no
-// timer goroutine), so delay is a bound on added latency per burst, not
-// a standalone flush tick. Belongs to the writing goroutine, like
-// SetCork.
-func (c *Conn) SetAutoCork(bytes int, delay time.Duration) {
-	c.corkBytes = bytes
-	c.corkDelay = delay
-}
-
-// corkDue reports whether the corked backlog must flush now (size or age
-// threshold crossed), maintaining the age stamp.
-func (c *Conn) corkDue() bool {
-	limit := c.corkBytes
-	if limit <= 0 {
-		limit = defaultCorkBytes
-	}
-	if c.fw.pending >= limit {
-		return true
-	}
-	if c.corkDelay > 0 {
-		now := c.clock().Now()
-		if c.corkFirst.IsZero() {
-			c.corkFirst = now
-		} else if now.Sub(c.corkFirst) >= c.corkDelay {
-			return true
-		}
-	}
-	return false
-}
-
 // flushPending arms the write deadline and pushes every pending span to
 // the wire in one gather write.
 func (c *Conn) flushPending() error {
@@ -360,7 +322,6 @@ func (c *Conn) flushPending() error {
 		return nil
 	}
 	c.armWrite()
-	c.corkFirst = time.Time{}
 	return c.fw.flush()
 }
 
@@ -370,7 +331,7 @@ func (c *Conn) flushPending() error {
 // write vector straight from the caller's buffer, never memcpy'd, at the
 // cost of an immediate flush (the caller owns tail again when we
 // return). flush=false leaves small frames pending (corked packet
-// traffic) unless the adaptive cork thresholds say otherwise.
+// traffic) until corkBytes are pending.
 func (c *Conn) writeFrame(head, tail []byte, flush bool) error {
 	n := len(head) + len(tail)
 	if n > MaxFrame {
@@ -389,7 +350,7 @@ func (c *Conn) writeFrame(head, tail []byte, flush bool) error {
 		m.FramesOut.Inc()
 		m.BytesOut.Add(int64(4 + n))
 	}
-	if !flush && !borrowed && !c.corkDue() {
+	if !flush && !borrowed && c.fw.pending < corkBytes {
 		if m := c.metrics; m != nil {
 			m.CorkedFrames.Inc()
 		}

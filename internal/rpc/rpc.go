@@ -124,9 +124,8 @@ func (s *Server) SetObserver(fn Observer) {
 
 // HandlerFor adapts a typed method function into a raw Handler: the
 // request body decodes into Req and the returned Resp encodes into the
-// response body. It is exported so servers that re-dispatch internally
-// (the namenode's batch RPC) can route a sub-request through exactly the
-// same decode/execute path as a standalone call.
+// response body. It is exported so a server can keep its methods in one
+// registration table (see RegisterFunc).
 func HandlerFor[Req, Resp any](method string, fn func(Req) (Resp, error)) Handler {
 	return func(body []byte) (any, error) {
 		var req Req

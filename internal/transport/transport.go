@@ -350,7 +350,7 @@ type TCPTuning struct {
 	WriteBuffer int
 	// DisableNoDelay keeps Nagle's algorithm. By default TCP_NODELAY is
 	// set: the proto layer already coalesces small frames behind its own
-	// adaptive cork, so kernel-side delay only adds ack-bound latency to
+	// cork, so kernel-side delay only adds ack-bound latency to
 	// pipeline setup and per-packet acks.
 	DisableNoDelay bool
 }
