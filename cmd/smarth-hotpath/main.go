@@ -219,7 +219,7 @@ func benches(fileBytes int64) []struct {
 		{n("LiveWrite%dMB/HDFS"), func(b *testing.B) { hotbench.LiveWrite(b, proto.ModeHDFS, fileBytes) }, "6x"},
 		{n("LiveRead%dMB/SMARTH"), func(b *testing.B) { hotbench.LiveRead(b, client.ReadOptions{}, fileBytes) }, ""},
 		{n("LiveRead%dMB/HDFS"), func(b *testing.B) {
-			hotbench.LiveRead(b, client.ReadOptions{DisablePrefetch: true, HedgeAfter: -1}, fileBytes)
+			hotbench.LiveRead(b, client.ReadOptions{DisablePrefetch: true}, fileBytes)
 		}, ""},
 		{n("RawCopy%dMB/TCP"), func(b *testing.B) { hotbench.RawCopyTCP(b, fileBytes) }, "6x"},
 		{n("LiveWrite%dMB/SMARTH-TCP"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 1) }, "6x"},

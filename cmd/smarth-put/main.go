@@ -34,17 +34,18 @@ func main() {
 		fmt.Sprintf("write policy %v; empty = default", policy.Names()))
 	verify := flag.Bool("verify", false, "read the file back and check its digest")
 	timeout := flag.Duration("timeout", 0,
-		"stall-detection bound: dial, setup-ack, ack-progress and per-RPC timeouts (FNFA gets 4x); 0 = library defaults")
+		"stall-detection bound: dial, setup-ack, ack-progress, read-progress and per-RPC timeouts (FNFA gets 4x); 0 = library defaults")
 	flag.Parse()
 
 	var timeouts *client.Timeouts
 	if *timeout > 0 {
 		timeouts = &client.Timeouts{
-			Dial:        *timeout,
-			SetupAck:    *timeout,
-			FNFA:        4 * *timeout,
-			AckProgress: *timeout,
-			RPCCall:     *timeout,
+			Dial:         *timeout,
+			SetupAck:     *timeout,
+			FNFA:         4 * *timeout,
+			AckProgress:  *timeout,
+			RPCCall:      *timeout,
+			ReadProgress: *timeout,
 		}
 	}
 	net := transport.NewTCPNetwork(nil)

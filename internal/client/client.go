@@ -23,6 +23,13 @@
 //     effect order on the wire (a heartbeat queued before an addBlock
 //     reaches the namenode first). Nothing is cached client-side:
 //     every Open asks the namenode for block locations.
+//   - A file read runs on the caller's goroutine plus at most one
+//     prefetch goroutine per open file, which dials the next block's
+//     replica and hands the stream over on a channel before anyone
+//     reads it. Each block stream owns at most one replica conn and
+//     reads packets from it synchronously; a slow or silent replica
+//     trips the per-packet ReadProgress deadline and the read resumes
+//     at the same byte offset on the next replica (DESIGN.md §10).
 //   - A SMARTH block's staging buffer (checked out of a writer-local
 //     free list) is owned from launch until the block commits; HDFS
 //     streams straight from the producer's buffer (Ready-at-commit
@@ -158,7 +165,6 @@ type Client struct {
 	mRPCRetries   *obs.Counter   // namenode RPC attempts after the first
 	mReadFill     *obs.Histogram // block-read wait for the next packet
 	mBlocksRead   *obs.Counter   // block streams opened
-	mReadHedges   *obs.Counter   // hedge replicas raced
 	mReadFailover *obs.Counter   // replicas dropped mid-read
 
 	stopCh chan struct{}
@@ -207,7 +213,6 @@ func New(opts Options) (*Client, error) {
 		c.mRPCRetries = comp.Counter("rpc_retries")
 		c.mReadFill = comp.Histogram("read_fill_ns")
 		c.mBlocksRead = comp.Counter("blocks_read")
-		c.mReadHedges = comp.Counter("read_hedges")
 		c.mReadFailover = comp.Counter("read_failovers")
 	}
 	c.wg.Add(1)

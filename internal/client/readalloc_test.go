@@ -108,7 +108,7 @@ func TestReadSteadyStateAllocs(t *testing.T) {
 
 	// No prefetch (single block anyway) and no hedging: the measured
 	// loop is exactly consume-packet/copy-out.
-	r, err := cl.OpenWith("/alloc-read", ReadOptions{DisablePrefetch: true, HedgeAfter: -1})
+	r, err := cl.OpenWith("/alloc-read", ReadOptions{DisablePrefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

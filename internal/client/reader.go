@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"strings"
 	"time"
 
 	"repro/internal/block"
@@ -26,20 +26,15 @@ type ReadOptions struct {
 	// while the current block drains, so the inter-block stall is one
 	// buffer swap instead of a full dial+handshake round trip.
 	DisablePrefetch bool
-	// HedgeAfter controls hedged reads. When the stream has waited this
-	// long for the next packet, a second replica is dialed from the
-	// current offset and the two race; the first to deliver wins and the
-	// other is dropped. 0 (the default) adapts the threshold to the
-	// observed packet cadence (needs Options.Obs; off otherwise); a
-	// negative value disables hedging; a positive value is used as-is.
-	HedgeAfter time.Duration
 }
 
 // Open returns a streaming reader over the whole file with default
 // ReadOptions. Blocks are fetched packet by packet (no whole-block
 // buffering), checksums are verified end to end, and a replica failing
 // mid-block triggers a transparent failover: the stream resumes from
-// the exact byte offset on another replica via a ranged read.
+// the exact byte offset on another replica via a ranged read. When
+// every listed replica has failed, the block's locations are fetched
+// again with backoff.
 func (c *Client) Open(path string) (io.ReadCloser, error) {
 	return c.OpenWith(path, ReadOptions{})
 }
@@ -54,7 +49,7 @@ func (c *Client) OpenWith(path string, ro ReadOptions) (io.ReadCloser, error) {
 	span := c.obs.StartSpan("read", nil)
 	span.SetAttr("path", path)
 	span.SetAttr("bytes", fmt.Sprintf("%d", loc.Len))
-	return &fileReader{c: c, ro: ro, to: to, blocks: loc.Blocks, span: span}, nil
+	return &fileReader{c: c, ro: ro, to: to, path: path, blocks: loc.Blocks, span: span, done: make(chan struct{})}, nil
 }
 
 // ReadAll fetches an entire file into memory.
@@ -107,7 +102,7 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 			if rem := length - pos; want > rem {
 				want = rem
 			}
-			bs := newBlockStream(c, to, ReadOptions{}, lb, from, want, span)
+			bs := newBlockStream(c, to, path, lb, from, want, span)
 			_, err := io.ReadFull(bs, out[pos:pos+want])
 			cerr := bs.Close()
 			if err != nil {
@@ -136,6 +131,7 @@ type fileReader struct {
 	c      *Client
 	ro     ReadOptions
 	to     Timeouts
+	path   string
 	blocks []block.LocatedBlock
 	span   *obs.Span
 
@@ -143,6 +139,7 @@ type fileReader struct {
 	cur      *blockStream
 	pre      chan *blockStream // in-flight prefetch, nil when none
 	preIdx   int               // block index the prefetch is for
+	done     chan struct{}     // closed by Close; an unclaimed prefetch closes its own stream
 	closeErr error             // first stream close error, surfaced by Close
 	closed   bool
 }
@@ -193,7 +190,7 @@ func (r *fileReader) nextStream() *blockStream {
 		return bs
 	}
 	lb := r.blocks[r.idx]
-	return newBlockStream(r.c, r.to, r.ro, lb, 0, lb.Block.NumBytes, r.span)
+	return newBlockStream(r.c, r.to, r.path, lb, 0, lb.Block.NumBytes, r.span)
 }
 
 // prefetchNext dials and handshakes the following block's stream in the
@@ -208,12 +205,16 @@ func (r *fileReader) prefetchNext() {
 		return
 	}
 	lb := r.blocks[next]
-	bs := newBlockStream(r.c, r.to, r.ro, lb, 0, lb.Block.NumBytes, r.span)
-	ch := make(chan *blockStream, 1)
+	bs := newBlockStream(r.c, r.to, r.path, lb, 0, lb.Block.NumBytes, r.span)
+	ch := make(chan *blockStream)
 	r.pre, r.preIdx = ch, next
 	go func() {
 		bs.preconnect()
-		ch <- bs
+		select {
+		case ch <- bs:
+		case <-r.done:
+			bs.Close()
+		}
 	}()
 }
 
@@ -229,116 +230,51 @@ func (r *fileReader) Close() error {
 		}
 		r.cur = nil
 	}
-	if r.pre != nil {
-		// Don't block on an in-flight dial; reap the abandoned stream
-		// when the prefetch goroutine hands it over.
-		ch := r.pre
-		r.pre = nil
-		go func() { (<-ch).Close() }()
-	}
+	// Don't block on an in-flight prefetch dial; its goroutine closes the
+	// unclaimed stream.
+	r.pre = nil
+	close(r.done)
 	r.span.End()
 	return err
 }
 
-// Hedging knobs: an adaptive threshold waits for a clear outlier —
-// several times the observed p99 packet wait — before paying for a
-// second replica stream, and never fires below the floor or before the
-// cadence histogram has a meaningful sample count.
+// Read-failover refetch: once every listed replica has failed, connect
+// asks the namenode for the block's locations again, like HDFS
+// DFSInputStream's block-acquire retries. Complete succeeds at minimal
+// replication and datanodes report received blocks asynchronously, so a
+// list fetched right after close can lack replicas that exist.
 const (
-	minHedgeDelay           = 25 * time.Millisecond
-	hedgePollInterval       = 50 * time.Millisecond
-	adaptiveHedgeMultiple   = 8
-	adaptiveHedgeMinSamples = 32
+	maxRefetches   = 3                     // per stream; progress replenishes them
+	refetchBackoff = 50 * time.Millisecond // doubled per refetch, jittered
 )
 
-// fetchResult is one delivery from a fetcher: a verified-ownership
-// packet or the error that ended the fetcher's stream.
-type fetchResult struct {
-	f   *fetcher
-	pkt *proto.Packet
-	err error
-}
-
-// fetcher owns one replica connection and pumps its packets into the
-// stream's shared channel. Ownership of a delivered packet (its Release
-// duty) transfers to the receiver; packets in flight when the fetcher is
-// closed are released by the fetcher itself.
-type fetcher struct {
-	target block.DatanodeInfo
-	pc     *proto.Conn
-
-	stop     chan struct{}
-	once     sync.Once
-	closeErr error
-}
-
-func newFetcher(target block.DatanodeInfo, pc *proto.Conn) *fetcher {
-	return &fetcher{target: target, pc: pc, stop: make(chan struct{})}
-}
-
-func (f *fetcher) run(ch chan<- fetchResult) {
-	for {
-		pkt, err := f.pc.ReadPacket()
-		select {
-		case ch <- fetchResult{f: f, pkt: pkt, err: err}:
-		case <-f.stop:
-			if pkt != nil {
-				pkt.Release()
-			}
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// close shuts the fetcher down: the stop channel unblocks a pending
-// delivery (releasing its packet) and the conn close unblocks a pending
-// ReadPacket. Idempotent; returns the conn close error.
-func (f *fetcher) close() error {
-	f.once.Do(func() {
-		close(f.stop)
-		f.closeErr = f.pc.Close()
-	})
-	return f.closeErr
-}
-
 // blockStream reads [offset, offset+length) of one block, packet by
-// packet, failing over between replicas on any error and racing a
-// second replica when the primary's cadence stalls (hedged reads).
+// packet, from at most one replica conn at a time, failing over to the
+// next replica on any error.
 //
-// Concurrency: the Read caller is the only consumer; each replica conn
-// is pumped by one fetcher goroutine delivering into ch; a watchdog
-// goroutine launches hedges. Fields shared with the watchdog (next,
-// tried, primary, hedge, waitingSince, epoch, closed) are written under
-// mu; buf/scratch are consumer-only.
+// Concurrency: none inside. Read, Close and every helper run on the
+// caller's goroutine; a prefetched stream is touched only by the
+// prefetch goroutine (preconnect) until it is handed over on a channel.
 type blockStream struct {
-	c          *Client
-	to         Timeouts
-	lb         block.LocatedBlock
-	span       *obs.Span
-	hedgeAfter time.Duration
+	c    *Client
+	to   Timeouts
+	path string // file the block belongs to, for location refetches
+	lb   block.LocatedBlock
+	span *obs.Span
 
+	next    int64  // absolute block offset of the next byte to deliver
 	end     int64  // absolute block offset one past the last byte wanted
 	buf     []byte // undelivered bytes; aliases scratch
 	scratch *[]byte
 
-	ch     chan fetchResult
-	stopCh chan struct{} // closed by Close; stops the watchdog
-
-	mu           sync.Mutex
-	next         int64 // absolute block offset of the next byte to deliver
-	primary      *fetcher
-	hedge        *fetcher
-	tried        map[string]bool // replicas that failed since the last progress
-	waitingSince time.Time       // non-zero while fill waits on ch
-	epoch        int             // bumped on any ownership change; cancels stale hedges
-	watchdogOn   bool
-	closed       bool
+	target    block.DatanodeInfo // replica pc reads from
+	pc        *proto.Conn        // nil when not connected
+	tried     map[string]bool    // replicas that failed since the last progress
+	refetches int                // location refetches since the last progress
+	closed    bool
 }
 
-func newBlockStream(c *Client, to Timeouts, ro ReadOptions, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
+func newBlockStream(c *Client, to Timeouts, path string, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
 	if offset < 0 {
 		offset = 0
 	}
@@ -347,15 +283,13 @@ func newBlockStream(c *Client, to Timeouts, ro ReadOptions, lb block.LocatedBloc
 		end = lb.Block.NumBytes
 	}
 	b := &blockStream{
-		c:          c,
-		to:         to,
-		lb:         lb,
-		hedgeAfter: ro.HedgeAfter,
-		end:        end,
-		ch:         make(chan fetchResult),
-		stopCh:     make(chan struct{}),
-		next:       offset,
-		tried:      make(map[string]bool),
+		c:     c,
+		to:    to,
+		path:  path,
+		lb:    lb,
+		next:  offset,
+		end:   end,
+		tried: make(map[string]bool),
 	}
 	b.span = c.obs.StartSpan("block_read", parent)
 	b.span.SetAttr("block", lb.Block.String())
@@ -365,24 +299,14 @@ func newBlockStream(c *Client, to Timeouts, ro ReadOptions, lb block.LocatedBloc
 }
 
 func (b *blockStream) Close() error {
-	b.mu.Lock()
 	if b.closed {
-		b.mu.Unlock()
 		return nil
 	}
 	b.closed = true
-	p, h := b.primary, b.hedge
-	b.primary, b.hedge = nil, nil
-	b.mu.Unlock()
-	close(b.stopCh)
 	var err error
-	if p != nil {
-		err = p.close()
-	}
-	if h != nil {
-		if herr := h.close(); err == nil {
-			err = herr
-		}
+	if b.pc != nil {
+		err = b.pc.Close()
+		b.pc = nil
 	}
 	if b.scratch != nil {
 		b.buf = nil
@@ -394,10 +318,7 @@ func (b *blockStream) Close() error {
 }
 
 func (b *blockStream) Read(p []byte) (int, error) {
-	b.mu.Lock()
-	closed := b.closed
-	b.mu.Unlock()
-	if closed {
+	if b.closed {
 		return 0, errors.New("client: read from closed block stream")
 	}
 	if len(p) == 0 {
@@ -409,7 +330,7 @@ func (b *blockStream) Read(p []byte) (int, error) {
 			b.buf = b.buf[n:]
 			return n, nil
 		}
-		if b.next >= b.end { // next is consumer-written; safe to read here
+		if b.next >= b.end {
 			return 0, io.EOF
 		}
 		if err := b.fill(); err != nil {
@@ -419,20 +340,15 @@ func (b *blockStream) Read(p []byte) (int, error) {
 	}
 }
 
-// fill blocks until one more packet's worth of wanted bytes is buffered
-// (possibly zero after trimming a hedge catch-up packet). Per-replica
-// failures are absorbed here — failover, reconnect, keep waiting — and
-// only a terminal error (every replica exhausted) is returned.
+// fill reads until one more packet's worth of wanted bytes is buffered
+// (possibly zero after trimming the chunk-aligned head). Per-replica
+// failures are absorbed here — fail over, reconnect, read on — and only
+// a terminal error (every replica exhausted) is returned. A replica that
+// stays connected but goes slow is a failure too: the per-packet
+// ReadProgress deadline fires and the read resumes elsewhere.
 func (b *blockStream) fill() error {
-	b.mu.Lock()
-	closed := b.closed
-	live := b.primary != nil || b.hedge != nil
-	b.mu.Unlock()
-	if closed {
-		return errors.New("client: read from closed block stream")
-	}
-	if !live {
-		if err := b.connect(); err != nil {
+	if b.pc == nil {
+		if err := b.connect(nil); err != nil {
 			return err
 		}
 	}
@@ -440,123 +356,46 @@ func (b *blockStream) fill() error {
 	if b.c.mReadFill != nil {
 		fillStart = b.c.clk.Now()
 	}
-	b.setWaiting(true)
-	defer b.setWaiting(false)
 	for {
-		res := <-b.ch
-		b.mu.Lock()
-		owner := res.f == b.primary || res.f == b.hedge
-		b.mu.Unlock()
-		if !owner {
-			// A replica we already dropped (hedge loser, failed-over
-			// primary) had a delivery in flight.
-			if res.pkt != nil {
-				res.pkt.Release()
-			}
-			continue
+		pkt, err := b.pc.ReadPacket()
+		if err == nil {
+			err = b.consume(pkt)
 		}
-		if res.err != nil {
-			b.failover(res.f, res.err)
-			if err := b.reconnectIfDead(); err != nil {
-				return err
+		if err == nil {
+			if b.c.mReadFill != nil {
+				b.c.mReadFill.ObserveSince(fillStart, b.c.clk.Now())
 			}
-			continue
+			return nil
 		}
-		b.promote(res.f)
-		if err := b.consume(res.pkt); err != nil {
-			b.failover(res.f, err)
-			if len(b.buf) > 0 {
-				// The packet carried verified bytes before the stream
-				// ended short: deliver them; the next fill reconnects.
-				return nil
-			}
-			if cerr := b.reconnectIfDead(); cerr != nil {
-				return cerr
-			}
-			continue
+		b.failover(err)
+		if len(b.buf) > 0 {
+			// The packet carried verified bytes before the stream ended
+			// short: deliver them; the next fill reconnects.
+			return nil
 		}
-		if b.c.mReadFill != nil {
-			b.c.mReadFill.ObserveSince(fillStart, b.c.clk.Now())
+		if err := b.connect(err); err != nil {
+			return err
 		}
-		return nil
 	}
 }
 
-func (b *blockStream) setWaiting(on bool) {
-	b.mu.Lock()
-	if on {
-		b.waitingSince = b.c.clk.Now()
-	} else {
-		b.waitingSince = time.Time{}
-	}
-	b.mu.Unlock()
-}
-
-// failover drops a replica that produced an error mid-stream and puts it
-// on the tried list so reconnects skip it until progress resets the
+// failover drops the current replica after an error mid-stream and puts
+// it on the tried list so reconnects skip it until progress resets the
 // budget.
-func (b *blockStream) failover(f *fetcher, cause error) {
-	b.mu.Lock()
-	if f == b.primary {
-		b.primary = nil
-	}
-	if f == b.hedge {
-		b.hedge = nil
-	}
-	b.tried[f.target.Name] = true
-	b.epoch++
-	next := b.next
-	b.mu.Unlock()
-	f.close()
+func (b *blockStream) failover(cause error) {
+	b.tried[b.target.Name] = true
+	b.pc.Close()
+	b.pc = nil
 	b.c.mReadFailover.Inc()
 	b.c.opts.Logf("client %s: block %v stream from %s failed at %d: %v",
-		b.c.opts.Name, b.lb.Block, f.target.Name, next, cause)
-	b.span.Event("failover", f.target.Name+": "+cause.Error())
-}
-
-// reconnectIfDead dials a fresh replica when no fetcher is left alive; a
-// surviving hedge keeps the stream going without a reconnect.
-func (b *blockStream) reconnectIfDead() error {
-	b.mu.Lock()
-	live := b.primary != nil || b.hedge != nil
-	b.mu.Unlock()
-	if live {
-		return nil
-	}
-	return b.connect()
-}
-
-// promote resolves a hedge race in favor of the fetcher that delivered:
-// it becomes (or stays) the primary and the other replica is dropped —
-// slow, not failed, so it is not marked tried.
-func (b *blockStream) promote(winner *fetcher) {
-	b.mu.Lock()
-	if b.hedge == nil && winner == b.primary {
-		b.mu.Unlock()
-		return
-	}
-	var loser *fetcher
-	hedgeWon := false
-	if winner == b.hedge {
-		loser, b.primary, b.hedge = b.primary, b.hedge, nil
-		hedgeWon = true
-	} else {
-		loser, b.hedge = b.hedge, nil
-	}
-	b.epoch++
-	b.mu.Unlock()
-	if loser != nil {
-		loser.close()
-	}
-	if hedgeWon {
-		b.span.Event("hedge_win", winner.target.Name)
-	}
+		b.c.opts.Name, b.lb.Block, b.target.Name, b.next, cause)
+	b.span.Event("failover", b.target.Name+": "+cause.Error())
 }
 
 // consume verifies one packet, trims it to the wanted window (the
-// datanode widens to checksum-chunk boundaries, and a hedge stream may
-// restart behind the current offset), and copies the remainder into the
-// stream's pooled scratch buffer before Release recycles the frame.
+// datanode widens to checksum-chunk boundaries), and copies the
+// remainder into the stream's pooled scratch buffer before Release
+// recycles the frame.
 func (b *blockStream) consume(pkt *proto.Packet) error {
 	defer pkt.Release()
 	if err := checksum.VerifyEncoded(pkt.Data, pkt.RawSums, checksum.DefaultChunkSize); err != nil {
@@ -581,83 +420,89 @@ func (b *blockStream) consume(pkt *proto.Packet) error {
 	}
 	*b.scratch = append((*b.scratch)[:0], data...)
 	b.buf = *b.scratch
-	b.mu.Lock()
-	if len(data) > 0 && len(b.tried) > 0 {
+	if len(data) > 0 && (len(b.tried) > 0 || b.refetches > 0) {
 		// Successful progress resets the failover budget.
 		b.tried = make(map[string]bool)
+		b.refetches = 0
 	}
 	b.next += int64(len(data))
-	next := b.next
-	b.mu.Unlock()
 	b.span.Packet("packet", pkt.Seqno)
-	if pkt.Last && next < b.end {
+	if pkt.Last && b.next < b.end {
 		return io.ErrUnexpectedEOF
 	}
 	return nil
 }
 
 // connect dials the next untried replica and performs the read handshake
-// from the current offset.
-func (b *blockStream) connect() error {
-	var lastErr error = fmt.Errorf("client: block %v has no locations", b.lb.Block)
-	for _, target := range b.lb.Targets {
-		b.mu.Lock()
-		skip := b.tried[target.Name]
-		offset := b.next
-		b.mu.Unlock()
-		if skip {
-			continue
+// from the current offset. Once every listed replica has failed it
+// refetches the block's locations, at most maxRefetches times between
+// two packets of progress. cause is the failure that dropped the
+// previous replica, if any; the terminal error wraps the latest one.
+func (b *blockStream) connect(cause error) error {
+	lastErr := cause
+	if lastErr == nil {
+		lastErr = fmt.Errorf("client: block %v has no locations", b.lb.Block)
+	}
+	for {
+		for _, target := range b.lb.Targets {
+			if b.tried[target.Name] {
+				continue
+			}
+			pc, err := b.dialTarget(target, b.next)
+			if err != nil {
+				b.tried[target.Name] = true
+				lastErr = err
+				b.c.opts.Logf("client %s: read %v from %s: %v", b.c.opts.Name, b.lb.Block, target.Name, err)
+				continue
+			}
+			b.target, b.pc = target, pc
+			b.span.Event("connect", target.Name)
+			return nil
 		}
-		pc, err := b.dialTarget(target, offset)
-		if err != nil {
-			b.mu.Lock()
-			b.tried[target.Name] = true
-			b.mu.Unlock()
+		if b.refetches == maxRefetches {
+			break
+		}
+		b.c.clk.Sleep(b.c.jitter(refetchBackoff << b.refetches))
+		b.refetches++
+		if err := b.refetch(); err != nil {
 			lastErr = err
-			b.c.opts.Logf("client %s: read %v from %s: %v", b.c.opts.Name, b.lb.Block, target.Name, err)
-			continue
+			break
 		}
-		b.adopt(target, pc)
-		return nil
 	}
 	return fmt.Errorf("client: block %v unreadable from all replicas: %w", b.lb.Block, lastErr)
+}
+
+// refetch asks the namenode for the file's locations again and adopts
+// this block's fresh entry — its gen stamp and replica list — with an
+// empty tried list.
+func (b *blockStream) refetch() error {
+	loc, err := b.c.getBlockLocations(b.path)
+	if err != nil {
+		return err
+	}
+	for _, lb := range loc.Blocks {
+		if lb.Block.SameID(b.lb.Block) {
+			b.lb = lb
+			b.tried = make(map[string]bool)
+			b.span.Event("refetch", strings.Join(lb.Names(), ","))
+			return nil
+		}
+	}
+	return fmt.Errorf("client: block %v is no longer part of %s", b.lb.Block, b.path)
 }
 
 // preconnect dials the nearest replica ahead of the first Read — the
 // prefetch path. Best effort: failures leave the stream unconnected and
 // are retried (against every replica) by the first fill.
 func (b *blockStream) preconnect() {
-	b.mu.Lock()
-	busy := b.closed || b.primary != nil
-	offset := b.next
-	b.mu.Unlock()
-	if busy || len(b.lb.Targets) == 0 {
+	if len(b.lb.Targets) == 0 {
 		return
 	}
 	target := b.lb.Targets[0]
-	pc, err := b.dialTarget(target, offset)
-	if err != nil {
-		return
+	if pc, err := b.dialTarget(target, b.next); err == nil {
+		b.target, b.pc = target, pc
+		b.span.Event("connect", target.Name)
 	}
-	b.adopt(target, pc)
-}
-
-// adopt installs a freshly handshaken conn as the primary fetcher (or
-// closes it if the stream lost a race with Close).
-func (b *blockStream) adopt(target block.DatanodeInfo, pc *proto.Conn) {
-	f := newFetcher(target, pc)
-	b.mu.Lock()
-	if b.closed || b.primary != nil {
-		b.mu.Unlock()
-		pc.Close()
-		return
-	}
-	b.primary = f
-	b.epoch++
-	b.mu.Unlock()
-	go f.run(b.ch)
-	b.span.Event("connect", target.Name)
-	b.startWatchdog()
 }
 
 // dialTarget runs the read deadline ladder: a bounded dial, the header
@@ -689,120 +534,6 @@ func (b *blockStream) dialTarget(target block.DatanodeInfo, offset int64) (*prot
 	}
 	pc.SetReadTimeout(b.to.ReadProgress)
 	return pc, nil
-}
-
-// --- hedged reads ---
-
-// hedgeDelay returns the current stall threshold, or 0 when hedging
-// should not fire.
-func (b *blockStream) hedgeDelay() time.Duration {
-	if b.hedgeAfter > 0 {
-		return b.hedgeAfter
-	}
-	if b.hedgeAfter < 0 {
-		return 0
-	}
-	snap := b.c.mReadFill.Snapshot()
-	if snap.Count < adaptiveHedgeMinSamples {
-		return 0
-	}
-	d := time.Duration(snap.Quantile(0.99)) * adaptiveHedgeMultiple
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	return d
-}
-
-// startWatchdog launches the hedging watchdog once per stream, and only
-// when hedging can ever fire: not explicitly disabled, adaptive mode has
-// a cadence source, and there is a second replica to race.
-func (b *blockStream) startWatchdog() {
-	if b.hedgeAfter < 0 {
-		return
-	}
-	if b.hedgeAfter == 0 && b.c.mReadFill == nil {
-		return
-	}
-	if len(b.lb.Targets) < 2 {
-		return
-	}
-	b.mu.Lock()
-	on, closed := b.watchdogOn, b.closed
-	b.watchdogOn = true
-	b.mu.Unlock()
-	if on || closed {
-		return
-	}
-	go b.watchdogLoop()
-}
-
-func (b *blockStream) watchdogLoop() {
-	for {
-		poll := b.hedgeDelay() / 2
-		if poll <= 0 {
-			poll = hedgePollInterval
-		}
-		select {
-		case <-b.stopCh:
-			return
-		case <-b.c.clk.After(poll):
-		}
-		b.maybeHedge()
-	}
-}
-
-// maybeHedge races a second replica when the consumer has been waiting
-// past the stall threshold: dial another untried replica from the
-// current offset and let fill take whichever stream delivers first.
-func (b *blockStream) maybeHedge() {
-	d := b.hedgeDelay()
-	if d <= 0 {
-		return
-	}
-	b.mu.Lock()
-	if b.closed || b.primary == nil || b.hedge != nil ||
-		b.waitingSince.IsZero() || b.c.clk.Now().Sub(b.waitingSince) < d {
-		b.mu.Unlock()
-		return
-	}
-	primaryName := b.primary.target.Name
-	var target block.DatanodeInfo
-	found := false
-	for _, t := range b.lb.Targets {
-		if t.Name == primaryName || b.tried[t.Name] {
-			continue
-		}
-		target = t
-		found = true
-		break
-	}
-	offset := b.next
-	epoch := b.epoch
-	b.mu.Unlock()
-	if !found || offset >= b.end {
-		return
-	}
-	pc, err := b.dialTarget(target, offset)
-	if err != nil {
-		// A hedge candidate that won't dial is not a failover; the next
-		// poll retries (possibly elsewhere).
-		b.c.opts.Logf("client %s: hedge read %v from %s: %v", b.c.opts.Name, b.lb.Block, target.Name, err)
-		return
-	}
-	f := newFetcher(target, pc)
-	b.mu.Lock()
-	stale := b.closed || b.primary == nil || b.hedge != nil || b.epoch != epoch
-	if !stale {
-		b.hedge = f
-	}
-	b.mu.Unlock()
-	if stale {
-		pc.Close()
-		return
-	}
-	go f.run(b.ch)
-	b.c.mReadHedges.Inc()
-	b.span.Event("hedge", target.Name)
 }
 
 // Ensure the stream satisfies the reader contract used above.

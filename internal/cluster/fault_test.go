@@ -290,6 +290,10 @@ func TestReadFailsWhenAllReplicasCorrupt(t *testing.T) {
 	cl, _ := c.NewClient("client")
 	data := randomData(62, 100<<10) // 1 block, 3 replicas
 	writeFile(t, cl, "/doomed", data, proto.ModeHDFS)
+	// A datanode commits its replica after acking the last packet, so
+	// Close can return before every store holds the block; corrupt only
+	// once all three replicas have landed.
+	waitForReplicas(t, c, "/doomed", 3)
 	for _, dn := range c.DNs {
 		ms := dn.Store().(*storage.MemStore)
 		for _, rep := range dn.Store().Blocks() {

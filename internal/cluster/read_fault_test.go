@@ -73,6 +73,31 @@ func firstReadTarget(t *testing.T, c *Cluster, path string) (block.LocatedBlock,
 	return locs.Blocks[0], locs.Blocks[0].Targets[0].Name
 }
 
+// waitForReplicas polls the namenode until every block of path lists n
+// replicas. Datanodes report committed replicas asynchronously, so a
+// closed file's location list catches up only after the reports land.
+func waitForReplicas(t *testing.T, c *Cluster, path string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		locs, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		short := false
+		for _, lb := range locs.Blocks {
+			short = short || len(lb.Targets) < n
+		}
+		if !short {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: blocks still short of %d replicas: %+v", path, n, locs.Blocks)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // readAllGuarded reads the whole file under a wall-clock watchdog — the
 // failure mode these tests guard against is a reader that blocks
 // forever on a silent replica.
@@ -124,7 +149,7 @@ func TestReadFailsOverFromFrozenReplica(t *testing.T) {
 	_, first := firstReadTarget(t, c, "/frozen-read")
 	fn.Freeze(first)
 	t.Cleanup(func() { fn.Thaw(first) })
-	readAllGuarded(t, cl, "/frozen-read", client.ReadOptions{HedgeAfter: -1}, data, 15*time.Second)
+	readAllGuarded(t, cl, "/frozen-read", client.ReadOptions{}, data, 15*time.Second)
 }
 
 // TestReadFailsOverFromSilentReplicaEveryPacket blackholes the first
@@ -143,11 +168,10 @@ func TestReadFailsOverFromSilentReplicaEveryPacket(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		positions = append(positions, 64+int64(i)*packetWire)
 	}
-	ro := client.ReadOptions{HedgeAfter: -1} // isolate failover from hedging
 	for _, dropAfter := range positions {
 		before := readCounter(o, "read_failovers")
 		fn.SetLink(first, "client", faultnet.Fault{DropAfter: dropAfter})
-		readAllGuarded(t, cl, "/silent-read", ro, data, 15*time.Second)
+		readAllGuarded(t, cl, "/silent-read", client.ReadOptions{}, data, 15*time.Second)
 		fn.ClearLink(first, "client")
 		if dropAfter > 1 && readCounter(o, "read_failovers") == before {
 			t.Fatalf("dropAfter=%d: read completed without a mid-stream failover", dropAfter)
@@ -171,7 +195,7 @@ func TestReadFailsOverFromTruncatedReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := readCounter(o, "read_failovers")
-		readAllGuarded(t, cl, "/truncated-read", client.ReadOptions{HedgeAfter: -1}, data, 15*time.Second)
+		readAllGuarded(t, cl, "/truncated-read", client.ReadOptions{}, data, 15*time.Second)
 		if readCounter(o, "read_failovers") == before {
 			t.Fatalf("keep=%d: read completed without failing over the truncated replica", keep)
 		}
@@ -180,14 +204,35 @@ func TestReadFailsOverFromTruncatedReplica(t *testing.T) {
 
 // TestReadSurvivesDatanodeDeathMidRead kills the serving datanode after
 // the reader has consumed part of the block; the stream must resume at
-// the exact offset on a surviving replica. The block is deliberately
-// larger than the transport's 256 KiB pipe buffer so the tail cannot
-// already be in flight when the node dies — the failover is forced, not
-// timing-dependent.
+// the exact offset on a surviving replica.
 func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
-	c, _, cl, o := startReadFaultCluster(t, Config{})
+	testMidReadFault(t, "/midread-kill", func(c *Cluster, _ *faultnet.Network, dn string) {
+		c.KillDatanode(dn)
+	})
+}
+
+// TestReadFailsOverFromReplicaThrottledMidRead slows the serving
+// replica's link to one packet per 500 ms after the reader has consumed
+// part of the block. The replica stays connected, so only the
+// per-packet ReadProgress deadline (250 ms here) can end the stall; the
+// stream must then resume at the exact offset on another replica.
+func TestReadFailsOverFromReplicaThrottledMidRead(t *testing.T) {
+	testMidReadFault(t, "/midread-slow", func(_ *Cluster, fn *faultnet.Network, dn string) {
+		fn.SetLink(dn, "client", faultnet.Fault{Delay: 500 * time.Millisecond})
+		t.Cleanup(func() { fn.ClearLink(dn, "client") })
+	})
+}
+
+// testMidReadFault writes one 1 MiB block, reads 100 KiB of it, applies
+// fault to the replica serving the read, and requires the rest of the
+// file byte-exact with a recorded failover. The block is deliberately
+// larger than the transport's 256 KiB pipe buffer so the tail cannot
+// already be in flight when the fault lands — the failover is forced,
+// not timing-dependent.
+func testMidReadFault(t *testing.T, path string, fault func(c *Cluster, fn *faultnet.Network, dn string)) {
+	c, fn, cl, o := startReadFaultCluster(t, Config{})
 	data := randomData(331, 1<<20) // one 1 MiB block
-	w, err := cl.CreateSmarth("/midread-kill", client.WriteOptions{
+	w, err := cl.CreateSmarth(path, client.WriteOptions{
 		Mode:        proto.ModeSmarth,
 		Replication: 3,
 		BlockSize:   1 << 20,
@@ -202,9 +247,9 @@ func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, first := firstReadTarget(t, c, "/midread-kill")
+	_, first := firstReadTarget(t, c, path)
 
-	r, err := cl.OpenWith("/midread-kill", client.ReadOptions{HedgeAfter: -1})
+	r, err := cl.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +258,10 @@ func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := readCounter(o, "read_failovers")
-	c.KillDatanode(first)
+	fault(c, fn, first)
 	rest, err := io.ReadAll(r)
 	if err != nil {
-		t.Fatalf("read after datanode death: %v", err)
+		t.Fatalf("read after the fault on %s: %v", first, err)
 	}
 	if cerr := r.Close(); cerr != nil {
 		t.Fatalf("close: %v", cerr)
@@ -226,50 +271,50 @@ func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
 		t.Fatalf("read %d bytes, want %d (mismatch at %d)", len(got), len(data), firstDiff(got, data))
 	}
 	if readCounter(o, "read_failovers") == before {
-		t.Fatal("no failover recorded for a mid-read datanode death")
+		t.Fatalf("no failover recorded after the fault on %s", first)
 	}
 }
 
-// TestHedgedReadRacesThrottledReplica throttles the first replica's link
-// and gives the reader a short hedge threshold under generous deadlines:
-// the stall must be resolved by racing a second replica — visible as a
-// hedge counter and hedge/hedge_win trace events — not by a timeout.
-func TestHedgedReadRacesThrottledReplica(t *testing.T) {
-	c, fn, cl, o := startReadFaultCluster(t, Config{})
-	data := randomData(337, 256<<10)
-	writeFile(t, cl, "/hedged-read", data, proto.ModeSmarth)
-	_, first := firstReadTarget(t, c, "/hedged-read")
-	fn.SetLink(first, "client", faultnet.Fault{Delay: 300 * time.Millisecond})
-	t.Cleanup(func() { fn.ClearLink(first, "client") })
+// TestReadRefetchesLocationsWhenEveryReplicaFails holds back two
+// replica holders' block reports, so the closed file lists only the
+// third replica, opens the file, and kills that datanode. The reader
+// must exhaust the replica it was given, refetch the block's locations
+// and finish byte-exact on a replica that was not listed at open.
+func TestReadRefetchesLocationsWhenEveryReplicaFails(t *testing.T) {
+	c, fn, cl, _ := startReadFaultCluster(t, Config{
+		// The held-back datanodes cannot heartbeat either; keep them live.
+		Expiry: time.Minute,
+	})
+	held := []string{"dn2", "dn3"}
+	release := func() {
+		for _, dn := range held {
+			fn.ClearLink(dn, NamenodeAddr)
+		}
+	}
+	for _, dn := range held {
+		fn.SetLink(dn, NamenodeAddr, faultnet.Fault{Hang: true})
+	}
+	t.Cleanup(release)
 
-	ro := client.ReadOptions{
-		Timeouts: &client.Timeouts{
-			Dial:         time.Second,
-			SetupAck:     2 * time.Second,
-			RPCCall:      time.Second,
-			ReadProgress: 2 * time.Second, // generous: the hedge, not a deadline, must win
-		},
-		HedgeAfter: 60 * time.Millisecond,
+	data := randomData(347, 128<<10)
+	writeFile(t, cl, "/refetch-read", data, proto.ModeSmarth)
+	if lb, _ := firstReadTarget(t, c, "/refetch-read"); len(lb.Targets) != 1 || lb.Targets[0].Name != "dn1" {
+		t.Fatalf("closed file lists %v, want only dn1", lb.Names())
 	}
-	readAllGuarded(t, cl, "/hedged-read", ro, data, 20*time.Second)
-	if n := readCounter(o, "read_hedges"); n == 0 {
-		t.Fatal("throttled replica never triggered a hedged read")
+	r, err := cl.Open("/refetch-read") // holds the one-replica list
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sawHedge, sawWin bool
-	for _, s := range o.Tracer.Snapshot() {
-		if s.Name != "block_read" {
-			continue
-		}
-		for _, e := range s.Events {
-			switch e.Name {
-			case "hedge":
-				sawHedge = true
-			case "hedge_win":
-				sawWin = true
-			}
-		}
+	defer r.Close()
+	c.KillDatanode("dn1")
+	release()
+	waitForReplicas(t, c, "/refetch-read", 3)
+
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("read after the only listed replica died: %v", err)
 	}
-	if !sawHedge || !sawWin {
-		t.Fatalf("trace missing hedge events: hedge=%v win=%v", sawHedge, sawWin)
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read %d bytes, want %d (mismatch at %d)", len(got), len(data), firstDiff(got, data))
 	}
 }

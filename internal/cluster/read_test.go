@@ -99,7 +99,7 @@ func TestReadPrefetchParity(t *testing.T) {
 		ro   client.ReadOptions
 	}{
 		{"prefetch", client.ReadOptions{}},
-		{"no-prefetch", client.ReadOptions{DisablePrefetch: true, HedgeAfter: -1}},
+		{"no-prefetch", client.ReadOptions{DisablePrefetch: true}},
 	} {
 		r, err := cl.OpenWith("/prefetch-read", tc.ro)
 		if err != nil {

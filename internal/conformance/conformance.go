@@ -105,7 +105,7 @@ type Scenario struct {
 // throttled datanode, SMARTH with a mid-write pipeline failure, and one
 // two-rack SMARTH scenario per non-default policy (speedaware).
 // The seeds are chosen so the fault scenario's victim datanode leads
-// exactly one pipeline (see TestConformance's recurrence check).
+// exactly one pipeline (see pickVictim's recurrence check).
 func Scenarios() []Scenario {
 	// A spread of speeds so TopN and Algorithm 2 have real choices.
 	speeds := map[string]float64{

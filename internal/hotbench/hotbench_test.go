@@ -38,7 +38,7 @@ func BenchmarkHotPathLiveRead64MB(b *testing.B) {
 		LiveRead(b, client.ReadOptions{}, 64<<20)
 	})
 	b.Run(proto.ModeHDFS.String(), func(b *testing.B) {
-		LiveRead(b, client.ReadOptions{DisablePrefetch: true, HedgeAfter: -1}, 64<<20)
+		LiveRead(b, client.ReadOptions{DisablePrefetch: true}, 64<<20)
 	})
 }
 
